@@ -12,6 +12,13 @@ congruence; any integer solution with x = r (mod c) would reduce to one,
 so the class is proved empty.  The engine certifies per class because the
 underlying case analysis varies its modulus case by case; no single
 uniform modulus is expected to exist.
+
+The class is certified empty through the prime-power factors q = p^e || M
+and CRT.  For fixed x, the congruence is solvable mod M exactly when it is
+solvable mod every q, and the x-class is the product over q of the classes
+x = r (mod gcd(c, q)).  So the class is empty mod M exactly when, for some
+single q, no x = r (mod gcd(c, q)) is solvable mod q.  Only (Z/q)^3 is
+enumerated, once per q, never (Z/M)^3.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .arith import legendre_symbol, primes_upto
+from .arith import factorize, primes_upto
 from .errors import BudgetExceededError, HypothesisError, ParameterError
 
 __all__ = [
@@ -118,11 +125,14 @@ def search_box(
     if box < 1:
         raise ParameterError("box must be >= 1")
     solutions: set[tuple[int, int, int]] = set()
+    ys = range(-box, box + 1)
+    y_terms = [4 * y**d2 for y in ys]
     for x in range(-box, box + 1):
         if x_class is not None and (x - x_class[0]) % x_class[1] != 0:
             continue
-        for y in range(-box, box + 1):
-            disc = (x * y) ** 2 + 4 * (a * x**d1 - y**d2 - b)
+        x_term = 4 * (a * x**d1 - b)
+        for y, y_term in zip(ys, y_terms):
+            disc = (x * y) ** 2 + x_term - y_term
             if disc < 0:
                 continue
             root = isqrt(disc)
@@ -207,6 +217,14 @@ def parity_claim_check() -> ParityTable:
 
 @dataclass(frozen=True)
 class ObstructionCertificate:
+    """No (x, y, z) in (Z/modulus)^3 with x = r (mod c) solves the congruence.
+
+    The class is certified empty mod `modulus` through its prime-power
+    factors and CRT (see the module docstring).  `tuples_checked` is the
+    size of the tuple set proved empty, (modulus / c) * modulus^2, not the
+    number of tuples enumerated to prove it.
+    """
+
     params: DioParams
     modulus: int
     x_class: tuple[int, int]  # (residue r, modulus c) with c | modulus
@@ -214,10 +232,8 @@ class ObstructionCertificate:
     tuples_checked: int
 
 
-def _solvable_flags(
-    a: int, b: int, d1: int, d2: int, modulus: int, xs
-) -> list[bool]:
-    """For each x in xs: does some (y, z) in (Z/M)^2 solve the congruence?
+def _solvable_flags(a: int, b: int, d1: int, d2: int, modulus: int) -> list[bool]:
+    """For each x in Z/M: does some (y, z) in (Z/M)^2 solve the congruence?
 
     Vectorized over the (y, z) grid; all intermediate products stay below
     M^3, far inside int64 range for M <= a few thousand.
@@ -231,12 +247,37 @@ def _solvable_flags(
     base = (pow_d2[:, None] + squares[None, :]) % M  # y^d2 + z^2
     yz = (ys[:, None] * ys[None, :]) % M
     out = []
-    for x in xs:
-        x %= M
+    for x in range(M):
         rhs = (a * pow(x, d1, M) - b) % M
         lhs = (base + (M - x) * yz) % M  # y^d2 + z^2 - x*y*z
         out.append(bool(np.any(lhs == rhs)))
     return out
+
+
+def _class_obstructed(
+    params: DioParams,
+    modulus: int,
+    x_class: tuple[int, int],
+    cache: dict[int, list[bool]],
+) -> bool:
+    """Is no x = r (mod c) solvable mod `modulus`?  Requires c | modulus.
+
+    By CRT the class is empty mod M exactly when some prime power q || M
+    leaves no x = r (mod gcd(c, q)) solvable mod q.  `cache` maps q to its
+    flags for one parameter set, so a sweep enumerates each q once.
+    """
+    r, c = x_class
+    for p, e in factorize(modulus).items():
+        q = p**e
+        flags = cache.get(q)
+        if flags is None:
+            flags = cache[q] = _solvable_flags(
+                params.a, params.b, params.d1, params.d2, q
+            )
+        step = gcd(c, q)
+        if not any(flags[r % step :: step]):
+            return True
+    return False
 
 
 def residue_obstruction(
@@ -257,16 +298,14 @@ def residue_obstruction(
         raise BudgetExceededError(
             f"modulus {modulus} exceeds enumeration budget {max_modulus}"
         )
-    xs = list(range(r % c, modulus, c))
-    flags = _solvable_flags(params.a, params.b, params.d1, params.d2, modulus, xs)
-    if any(flags):
+    if not _class_obstructed(params, modulus, x_class, {}):
         return None
     return ObstructionCertificate(
         params=params,
         modulus=modulus,
         x_class=(r % c, c),
         exhaustive=True,
-        tuples_checked=len(xs) * modulus * modulus,
+        tuples_checked=(modulus // c) * modulus * modulus,
     )
 
 
@@ -283,23 +322,17 @@ def obstruction_sweep(params: DioParams, modulus_bound: int) -> SweepResult:
     Moduli run over multiples of 12 up to the bound, ascending, so the
     reported modulus is minimal among them; classes with no certificate in
     range get None.  Deterministic by construction (fixed iteration order,
-    exhaustive per-modulus evidence).
+    exhaustive per-prime-power evidence shared across moduli).
     """
     best: list[int | None] = [None] * 12
     certs: list[ObstructionCertificate | None] = [None] * 12
+    cache: dict[int, list[bool]] = {}
     for modulus in range(12, modulus_bound + 1, 12):
         pending = [r for r in range(12) if best[r] is None]
         if not pending:
             break
-        xs = sorted({x for r in pending for x in range(r, modulus, 12)})
-        flags = dict(
-            zip(
-                xs,
-                _solvable_flags(params.a, params.b, params.d1, params.d2, modulus, xs),
-            )
-        )
         for r in pending:
-            if not any(flags[x] for x in range(r, modulus, 12)):
+            if _class_obstructed(params, modulus, (r, 12), cache):
                 best[r] = modulus
                 certs[r] = ObstructionCertificate(
                     params=params,
@@ -322,6 +355,7 @@ def qr_law_check(prime_bound: int) -> bool:
     for p in primes_upto(prime_bound):
         if p < 5:
             continue
-        if (legendre_symbol(3, p) == 1) != (p % 12 in (1, 11)):
+        # Euler's criterion; p is a sieved prime, so no primality test is due
+        if (pow(3, (p - 1) // 2, p) == 1) != (p % 12 in (1, 11)):
             return False
     return True

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -77,6 +78,31 @@ def test_check_diophantine(capsys, tmp_path):
     assert "mod4-difference-table" in stderr
     doc = json.loads(out.read_text())
     assert doc["search"]["solutions"] == []
+
+
+# sha256 of the canonical check-diophantine JSON at --modulus-bound 360,
+# recorded from a sweep that enumerated all of (Z/M)^3 per modulus; the
+# prime-power engine must reproduce these bytes exactly
+DIO_CERT_SHA256 = {
+    (13, 3, 2): "013724672bbde29f2808b4125e0a4078e370ba34630b4e2fe07dabbc3a9e57cc",
+    (25, 3, 4): "364128bae3ff6afc738d1d0404dfc6cf2c0a61cfb3da48e785f020e7ff736f93",
+    (13, 3, 10): "2d63d9069896f354f3a87e661276163ec82acd503036268a1d55c9c33b9104a6",
+}
+
+
+@pytest.mark.parametrize(
+    "triple", sorted(DIO_CERT_SHA256), ids=lambda t: "-".join(map(str, t))
+)
+def test_check_diophantine_bytes_pinned(capsys, tmp_path, triple):
+    a, d1, d2 = triple
+    out = tmp_path / "dio.json"
+    code, _, _ = run_cli(
+        capsys,
+        "check-diophantine", "--a", str(a), "--d1", str(d1), "--d2", str(d2),
+        "--modulus-bound", "360", "--out", str(out),
+    )
+    assert code == 2
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIO_CERT_SHA256[triple]
 
 
 def test_count_points(capsys):

@@ -1,5 +1,8 @@
+import time
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selli_cert.diophantine import (
@@ -210,3 +213,90 @@ def test_solvable_flags_match_bruteforce(triple, modulus):
             for z in range(modulus)
         )
         assert (cert is None) == brute_solvable
+
+
+def _cube_solvable_x(a, b, d1, d2, modulus):
+    """x in Z/M admitting some (y, z) in (Z/M)^2, by enumerating the whole
+    cube (Z/M)^3 directly; independent of the engine's prime-power split."""
+    M = modulus
+    v = np.arange(M, dtype=np.int64)
+    y_pow = np.array([pow(y, d2, M) for y in range(M)], dtype=np.int64)
+    yz = (v[:, None] * v[None, :]) % M
+    base = (y_pow[:, None] + (v * v % M)[None, :]) % M  # y^d2 + z^2
+    solvable = set()
+    for x in range(M):
+        values = (a * pow(x, d1, M) - b - base + x * yz) % M
+        if (values == 0).any():
+            solvable.add(x)
+    return solvable
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.integers(-40, 40),
+    b=st.integers(-300, 300),
+    d1=st.integers(1, 8),
+    d2=st.integers(1, 8),
+    bound=st.integers(0, 120),
+    data=st.data(),
+)
+@example(a=13, b=101, d1=3, d2=2, bound=5, data=None)  # bound < 12
+@example(a=35, b=-125, d1=7, d2=2, bound=50, data=None)  # minimal modulus 24
+@example(a=-8, b=-72, d1=6, d2=4, bound=120, data=None)  # minimal moduli 48, 108
+def test_obstruction_engine_matches_cube_oracle(a, b, d1, d2, bound, data):
+    params = DioParams(a=a, b=b, d1=d1, d2=d2)
+    expected: list[int | None] = [None] * 12
+    for modulus in range(12, bound + 1, 12):
+        solvable = _cube_solvable_x(a, b, d1, d2, modulus)
+        for r in range(12):
+            if expected[r] is None and solvable.isdisjoint(range(r, modulus, 12)):
+                expected[r] = modulus
+    sweep = obstruction_sweep(params, bound)
+    assert sweep.modulus_bound == bound
+    assert sweep.smallest_modulus == tuple(expected)
+    for r, cert in enumerate(sweep.certificates):
+        if expected[r] is None:
+            assert cert is None
+        else:
+            M = expected[r]
+            assert (cert.modulus, cert.x_class) == (M, (r, 12))
+            assert cert.tuples_checked == (M // 12) * M * M
+
+    if data is None:
+        return
+    modulus = data.draw(st.integers(1, 120), label="modulus")
+    c = data.draw(
+        st.sampled_from([c for c in range(1, modulus + 1) if modulus % c == 0]),
+        label="c",
+    )
+    r = data.draw(st.integers(-modulus, modulus), label="r")
+    solvable = _cube_solvable_x(a, b, d1, d2, modulus)
+    cert = residue_obstruction(params, modulus, (r, c))
+    assert (cert is None) == any(x % c == r % c for x in solvable)
+    if cert is not None:
+        assert cert.x_class == (r % c, c)
+        assert cert.tuples_checked == (modulus // c) * modulus * modulus
+
+
+def test_sweep_pinned_large_minimal_moduli():
+    # 108 = lcm(12, 27) and 192 = lcm(12, 64): classes closed by a single
+    # higher prime power; the moduli were confirmed by full (Z/M)^3 sweeps
+    sweep = obstruction_sweep(DioParams(a=-8, b=-72, d1=6, d2=4), 120)
+    assert sweep.smallest_modulus == (
+        48, None, None, 108, 48, None, 108, None, 48, 108, None, None
+    )
+    assert sweep.certificates[3].tuples_checked == 9 * 108 * 108
+    sweep = obstruction_sweep(DioParams(a=-25, b=144, d1=7, d2=2), 200)
+    assert sweep.smallest_modulus == (
+        192, 12, None, None, 12, None, None, 12, 192, None, 12, None
+    )
+    assert sweep.certificates[8].tuples_checked == 16 * 192 * 192
+
+
+def test_sweep_runtime_cap_at_720():
+    params = validate_dio_params(13, 3, 2)
+    start = time.perf_counter()
+    sweep = obstruction_sweep(params, 720)
+    elapsed = time.perf_counter() - start
+    assert sweep.smallest_modulus == tuple(None if r in (5, 9) else 12 for r in range(12))
+    assert elapsed < 1.0, f"sweep to 720 took {elapsed:.2f} s"
