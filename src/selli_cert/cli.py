@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_out(p)
     p.set_defaults(func=_cmd_check_diophantine)
 
-    p = sub.add_parser("count-points", help="exhaustive point count over F_{p^k}")
+    p = sub.add_parser("count-points", help="exact point count over F_{p^k}")
     p.add_argument("--curve", required=True, help='e.g. "y^2=x^3+1" or "y^10=13x^3+x*y-102"')
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--k", type=int, default=1)

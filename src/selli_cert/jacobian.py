@@ -228,7 +228,7 @@ def find_certificate_primes(
     records: list[PrimeOrderRecord] = []
     for p in primes_upto(prime_bound):
         reduced = CurveEquationModP.reduce(curve, p)
-        smooth = is_smooth_mod_p(reduced, budget=budget, threads=threads)
+        smooth = is_smooth_mod_p(reduced, budget=budget)
         if not smooth.smooth:
             reason = smooth.reason or "not smooth"
             if smooth.witness is not None:

@@ -206,16 +206,50 @@ def test_dio_tamper_detected():
     base = build_dio_certificate(params, modulus_bound=48, qr_bound=200).to_dict()
     doc = copy.deepcopy(base)
     doc["search"]["solutions"] = [[2, 1, 2]]
-    assert verify_certificate(doc) != []
+    assert verify_certificate(doc) == [
+        "search: bounded search does not reproduce stored solutions"
+    ]
     doc = copy.deepcopy(base)
     doc["obstructions"]["classes"][5]["smallest_modulus"] = 12
-    assert verify_certificate(doc) != []
+    assert verify_certificate(doc) == [
+        "obstructions: class 5 stored modulus 12, recomputed None"
+    ]
+    doc = copy.deepcopy(base)
+    doc["obstructions"]["classes"][0]["tuples_checked"] += 1
+    assert verify_certificate(doc) == [
+        "obstructions: class 0 tuple count does not recompute"
+    ]
     doc = copy.deepcopy(base)
     doc["discrepancies"] = []
     assert verify_certificate(doc) != []
     doc = copy.deepcopy(base)
     doc["params"]["b"] = 99
     assert verify_certificate(doc) != []
+
+
+def test_dio_verify_recomputes_once(monkeypatch):
+    from selli_cert import certificates, diophantine, verify
+
+    params = validate_dio_params(13, 3, 2)
+    doc = build_dio_certificate(params, modulus_bound=48, qr_bound=200).to_dict()
+    calls = {"search": 0, "sweep": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (certificates, verify):
+        monkeypatch.setattr(
+            module, "bounded_search", counted("search", diophantine.bounded_search)
+        )
+        monkeypatch.setattr(
+            module, "obstruction_sweep", counted("sweep", diophantine.obstruction_sweep)
+        )
+    assert verify_certificate(doc) == []
+    assert calls == {"search": 1, "sweep": 1}
 
 
 def test_unknown_kind_rejected():

@@ -105,6 +105,36 @@ def test_check_diophantine_bytes_pinned(capsys, tmp_path, triple):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIO_CERT_SHA256[triple]
 
 
+# sha256 of the canonical analyze-curve JSON for two prime-scan runs
+# (paper-ex2, d1 = 3, one thread), recorded from a point counter that
+# visited every (x, y) pair; the second run stores a budget refusal as a
+# skip reason
+TORSION_CERT_SHA256 = {
+    ("613", "2", "10", "3", "12", "10000000"): (
+        0, "e91de83ce0d9cafd4918179e39c44495301b7f02d700120e1b8a03738243764d"
+    ),
+    ("25", "2", "26", "2", "13", "10000"): (
+        2, "e75662d3f17ddb05c5ad8ff3781ca417674ba384d5678cb5ca6c900c8c9c8b7d"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "args", sorted(TORSION_CERT_SHA256), ids=lambda t: f"a{t[0]}-d2_{t[2]}"
+)
+def test_analyze_curve_bytes_pinned(capsys, tmp_path, args):
+    a, m, d2, genus, bound, budget = args
+    out = tmp_path / "torsion.json"
+    code, _, _ = run_cli(
+        capsys,
+        "analyze-curve", "--a", a, "--m", m, "--d1", "3", "--d2", d2,
+        "--convention", "paper-ex2", "--genus", genus, "--prime-bound", bound,
+        "--budget", budget, "--threads", "1", "--out", str(out),
+    )
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert (code, digest) == TORSION_CERT_SHA256[args]
+
+
 def test_count_points(capsys):
     code, stdout, _ = run_cli(
         capsys, "count-points", "--curve", "y^2=x^3+1", "--p", "5"

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selli_cert.errors import BudgetExceededError, ParameterError
@@ -161,8 +161,37 @@ def test_count_budget_refusal():
     with pytest.raises(BudgetExceededError):
         count_points(q, 101, 4, budget=10**6)  # q = 101^4 > 10^6, m = 0
     mixed = CurveEquation.parse("y^10=13x^3+x*y-102")
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as refused:
         count_points(mixed, 101, 2, budget=10**6)  # q^2 = 101^4 > 10^6, m != 0
+    # certificates store this text verbatim as a skip reason
+    assert str(refused.value) == (
+        "enumeration work 104060401 exceeds budget 1000000 for q = 10201"
+    )
+
+
+# affine counts of y^26 = 2317x^3 + x*y - 18537, recorded from a kernel that
+# visited every (x, y) pair
+MIXED_PINNED = {(13, 3): 2167, (11, 3): 1295, (5, 5): 3249, (3, 6): 890, (2, 7): 115}
+
+
+@pytest.mark.parametrize("pk", sorted(MIXED_PINNED), ids=lambda pk: f"{pk[0]}^{pk[1]}")
+def test_mixed_count_pinned(pk):
+    p, k = pk
+    curve = CurveEquation.parse("y^26=2317x^3+x*y-18537")
+    reduced = CurveEquationModP.reduce(curve, p)
+    assert count_affine(reduced, find_irreducible(p, k)) == MIXED_PINNED[pk]
+
+
+@pytest.mark.parametrize("pk", [(2, 1), (2, 3), (3, 1), (5, 2), (7, 3), (13, 2)])
+def test_log_tables_cover_the_group(pk):
+    from selli_cert.ffield import _log_tables, _pack
+
+    field = find_irreducible(*pk)
+    q = field.q
+    exp, log = _log_tables(field)
+    packed = _pack(exp, field.base.p)
+    assert sorted(packed.tolist()) == list(range(1, q))
+    assert (log[packed] == list(range(q - 1))).all()
 
 
 def test_legendre_sum_oracle():
@@ -197,15 +226,23 @@ def test_subfield_count_monotone():
             assert n1 <= n2, (curve, p)
 
 
-@settings(max_examples=50, deadline=None)
+# (p, k) up to q = 49; d2 up to 8 and m up to 15 make g = gcd(d2-1, q-1) > 1
+# and m = 0 (mod p) common
+@settings(max_examples=80, deadline=None)
 @given(
-    st.sampled_from([2, 3, 5, 7]),
-    st.sampled_from([1, 2]),
-    st.integers(min_value=2, max_value=6),
+    st.sampled_from(
+        [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)]
+    ),
+    st.integers(min_value=2, max_value=8),
     st.lists(st.integers(min_value=-6, max_value=6), min_size=2, max_size=5),
-    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=15),
 )
-def test_count_matches_naive_oracle(p, k, d2, f_coeffs, m):
+@example((2, 3), 8, [1, 0, 1], 1)  # g = 7
+@example((3, 3), 3, [2, 1, 0, 1], 2)  # g = 2
+@example((7, 2), 7, [-3, 0, 0, 1], 1)  # g = 6
+@example((3, 3), 5, [1, 1], 6)  # m = 0 (mod 3)
+def test_count_matches_naive_oracle(pk, d2, f_coeffs, m):
+    p, k = pk
     if f_coeffs[-1] == 0:
         f_coeffs = f_coeffs[:-1] + [1]
     curve = CurveEquation(d2=d2, f_coefficients=tuple(f_coeffs), m=m)
