@@ -199,9 +199,13 @@ def _cmd_poly_disc(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.certificate, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    failures = verify_certificate(doc)
+    try:
+        with open(args.certificate, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # not UTF-8 text, or not JSON
+        failures = [f"document: malformed ({exc})"]
+    else:
+        failures = verify_certificate(doc)
     if failures:
         for f in failures:
             _say(f"FAIL {f}")

@@ -6,13 +6,17 @@ and its torsion-candidate pipeline: hypothesis validation, the discriminant
 profile Delta(f)(y), the finite candidate box for torsion y-coordinates, and
 rational-point elimination for each surviving candidate.
 
-Two readings of the x-coefficient are implemented.  Under the `standard`
-convention the defining polynomial is the cubic-in-x (a, 0, m*y, -(m^2+b)),
-so for d1 = 3 the discriminant is c3*y^3 + c0 with c3 = -4a*m^3.  The
-`paper-ex2` convention reads the x-coefficient as y alone (c3 = -4a), which
-reproduces the published worked example for m = 2; neither reading is
-asserted as canonical, and certificates record which one was used plus a
-comparison block whenever the two diverge.
+In x the defining polynomial is the trinomial f = a*x^d1 + s*y*x - C with
+C = m^2 + b, so its discriminant is the two-term polynomial
+Delta(f)(y) = lead*y^d1 + const, both coefficients in closed form for every
+d1 (Swan 1962); for d1 = 3 it is -4a*s^3*y^3 - 27a^2*C^2.
+
+Two readings of the x-coefficient scale s are implemented.  Under the
+`standard` convention s = m, so lead = -4a*m^3 for d1 = 3.  The `paper-ex2`
+convention reads the x-coefficient as y alone (s = 1, lead = -4a for
+d1 = 3), which reproduces the published worked example for m = 2; neither
+reading is asserted as canonical, and certificates record which one was
+used plus a comparison block whenever the two diverge.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from math import gcd
 from . import jacobian
 from .arith import factorize, is_prime
 from .errors import HypothesisError, ParameterError
-from .polyring import IntPolynomial, Rational, discriminant, rational_roots
+# perfbench/tracing.py patches discriminant on this module.
+from .polyring import IntPolynomial, Rational, discriminant, rational_roots  # noqa: F401
 
 __all__ = [
     "FamilyParams",
@@ -117,17 +122,35 @@ def validate_params(
 
 @dataclass(frozen=True)
 class DiscriminantProfile:
+    """Delta(f)(y) = lead*y^d1 + const as a polynomial in y."""
+
     params: FamilyParams
     convention: str
-    c3: int | None  # closed form c3*y^3 + c0, only for d1 = 3
-    c0: int | None
-    lead_abs: int  # |leading coefficient| of Delta(f)(y) as polynomial in y
-    const_abs: int  # |constant term|
+    lead: int  # signed coefficient of y^d1
+    const: int  # signed constant term
     y_degree: int  # degree of Delta(f)(y) in y (= d1)
+
+    @property
+    def c3(self) -> int | None:
+        """lead, named as the cubic's coefficient; certificates carry it for d1 = 3 only."""
+        return self.lead if self.y_degree == 3 else None
+
+    @property
+    def c0(self) -> int | None:
+        """const, named as the cubic's constant; certificates carry it for d1 = 3 only."""
+        return self.const if self.y_degree == 3 else None
+
+    @property
+    def lead_abs(self) -> int:
+        return abs(self.lead)
+
+    @property
+    def const_abs(self) -> int:
+        return abs(self.const)
 
 
 def _xcoeff_scale(params: FamilyParams, convention: str) -> int:
-    """Multiplier s in the x-coefficient s*y of the defining cubic."""
+    """Multiplier s in the x-coefficient s*y of the defining trinomial."""
     if convention == "standard":
         return params.m
     if convention == "paper-ex2":
@@ -140,55 +163,27 @@ def discriminant_profile(
 ) -> DiscriminantProfile:
     a, m, b, d1 = params.a, params.m, params.b, params.d1
     s = _xcoeff_scale(params, convention)
-    const = m * m + b
-    if const == 0 or a == 0:
+    c = m * m + b
+    if c == 0 or a == 0:
         raise ParameterError("discriminant vanishes identically")
-    if d1 == 3:
-        c3 = -4 * a * s**3
-        c0 = -27 * a * a * const * const
-        return DiscriminantProfile(
-            params=params,
-            convention=convention,
-            c3=c3,
-            c0=c0,
-            lead_abs=abs(c3),
-            const_abs=abs(c0),
-            y_degree=3,
-        )
-    # d1 > 3: the trinomial a*x^d1 + (s*y)*x - const has discriminant
-    # sign * (d1^d1 * (-const)^(d1-1) * a^(d1-1)
-    #         + (-1)^(d1-1) * (d1-1)^(d1-1) * (s*y)^d1 * a^(d1-2))
-    # with sign = (-1)^(d1(d1-1)/2); only the extreme coefficients are
-    # needed for the growth bound, values come from the resultant per y.
+    if d1 < 2:
+        raise ParameterError(f"discriminant needs d1 >= 2, found {d1}")
+    # disc(a*x^n + p*x + q) = (-1)^(n(n-1)/2) * (n^n * q^(n-1) * a^(n-1)
+    #                         + (-1)^(n-1) * (n-1)^(n-1) * p^n * a^(n-2))
+    # with n = d1, p = s*y and q = -c.
     sign = (-1) ** (d1 * (d1 - 1) // 2)
-    lead = sign * (-1) ** (d1 - 1) * (d1 - 1) ** (d1 - 1) * s**d1 * a ** (d1 - 2)
-    c0_general = sign * d1**d1 * (-const) ** (d1 - 1) * a ** (d1 - 1)
     return DiscriminantProfile(
         params=params,
         convention=convention,
-        c3=None,
-        c0=None,
-        lead_abs=abs(lead),
-        const_abs=abs(c0_general),
+        lead=sign * (-1) ** (d1 - 1) * (d1 - 1) ** (d1 - 1) * s**d1 * a ** (d1 - 2),
+        const=sign * d1**d1 * (-c) ** (d1 - 1) * a ** (d1 - 1),
         y_degree=d1,
     )
 
 
-def _specialized_poly(profile: DiscriminantProfile, y: int) -> IntPolynomial:
-    p = profile.params
-    s = _xcoeff_scale(p, profile.convention)
-    coeffs = [0] * (p.d1 + 1)
-    coeffs[0] = -(p.m * p.m + p.b)
-    coeffs[1] = s * y
-    coeffs[p.d1] = p.a
-    return IntPolynomial.from_coefficients(coeffs)
-
-
 def delta_of_y(profile: DiscriminantProfile, y: int) -> int:
-    """Exact Delta(f)(y): closed form for d1 = 3, resultant route otherwise."""
-    if profile.c3 is not None:
-        return profile.c3 * y**3 + profile.c0
-    return discriminant(_specialized_poly(profile, y))
+    """Exact Delta(f)(y) = lead*y^d1 + const."""
+    return profile.lead * y**profile.y_degree + profile.const
 
 
 def y_bound(profile: DiscriminantProfile) -> int:

@@ -26,7 +26,6 @@ __all__ = [
     "IntPolynomial",
     "resultant",
     "discriminant",
-    "cubic_discriminant",
     "rational_roots",
 ]
 
@@ -165,19 +164,6 @@ def discriminant(f: IntPolynomial) -> int:
     if r != 0:
         raise AssertionError("discriminant division is always exact")
     return q
-
-
-def cubic_discriminant(a: int, b: int, c: int, d: int) -> int:
-    """Discriminant of a*x^3 + b*x^2 + c*x + d by the closed form."""
-    if a == 0:
-        raise ParameterError("leading coefficient must be nonzero")
-    return (
-        b * b * c * c
-        - 4 * a * c**3
-        - 4 * b**3 * d
-        - 27 * a * a * d * d
-        + 18 * a * b * c * d
-    )
 
 
 def rational_roots(f: IntPolynomial, *, budget: int = 10**6) -> list[Fraction]:

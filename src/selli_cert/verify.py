@@ -5,9 +5,12 @@ revalidated, the discriminant profile, candidate divisibility, growth
 boundary, elimination polynomials and their rational roots are recomputed,
 Jacobian orders are rebuilt from the stored point counts through the full
 L-polynomial reconstruction (functional equation and Weil bounds included),
-and obstruction tables are re-enumerated.  Any mismatch is reported as a
-failure naming the offending block; an empty failure list means the
-certificate re-verifies.
+and obstruction tables are re-enumerated.  A coprime-order pair must be two
+odd primes p1 < p2 whose ok records it repeats, in a scan that lists every
+prime up to its bound, under a genus that matches its stated source.  Any
+mismatch, or a missing or mistyped field, is reported as a failure naming
+the offending block; an empty failure list means the certificate
+re-verifies.
 
 Deliberately not re-run: the raw field enumerations behind stored point
 counts (that is the emitting tool's work; the stored counts are instead
@@ -19,6 +22,7 @@ from __future__ import annotations
 from math import gcd
 
 from . import jacobian as jac
+from .arith import primes_upto
 from .certificates import (
     CONCLUSION_COPRIME,
     CONCLUSION_ELIMINATION,
@@ -33,6 +37,8 @@ from .certificates import (
 from .diophantine import bounded_search, obstruction_sweep, validate_dio_params  # noqa: F401
 from .errors import SelliCertError
 from .family import (
+    ASSUMPTION_GENUS,
+    ASSUMPTION_INFINITY,
     ASSUMPTION_NL,
     FamilyParams,
     delta_of_y,
@@ -60,10 +66,16 @@ def verify_certificate(doc: dict) -> list[str]:
     return [f"kind: unknown certificate kind {kind!r}"]
 
 
+# What reading a missing or mistyped field raises; verify reports it as a
+# failure of the block being read, never as a crash.
+_MALFORMED = (KeyError, TypeError, ValueError, AttributeError, IndexError, ZeroDivisionError)
+
+
 # ---- torsion ----
 
 def _verify_torsion(doc: dict) -> list[str]:
     failures: list[str] = []
+    block = "params"
     try:
         p = doc["params"]
         params = FamilyParams(
@@ -71,98 +83,108 @@ def _verify_torsion(doc: dict) -> list[str]:
             b_explicit=p["b_explicit"],
         )
         convention = doc["convention"]
-    except (KeyError, TypeError) as exc:
-        return [f"params: malformed ({exc})"]
+        if params.d * 2 != params.d2:
+            failures.append("params: d != d2/2")
+        if not params.b_explicit and params.b != 2**params.d1 * params.a - 3:
+            failures.append("params: b does not match 2^d1*a - 3")
 
-    if params.d * 2 != params.d2:
-        failures.append("params: d != d2/2")
-    if not params.b_explicit and params.b != 2**params.d1 * params.a - 3:
-        failures.append("params: b does not match 2^d1*a - 3")
-
-    try:
+        block = "profile"
         profile = discriminant_profile(params, convention)
-    except SelliCertError as exc:
-        return failures + [f"profile: cannot recompute ({exc})"]
-    stored = doc["profile"]
-    if (
-        stored["c3"] != profile.c3
-        or stored["c0"] != profile.c0
-        or stored["lead_abs"] != profile.lead_abs
-        or stored["const_abs"] != profile.const_abs
-        or stored["y_degree"] != profile.y_degree
-    ):
-        failures.append("profile: stored coefficients do not recompute")
+        stored = doc["profile"]
+        if (
+            stored["c3"] != profile.c3
+            or stored["c0"] != profile.c0
+            or stored["lead_abs"] != profile.lead_abs
+            or stored["const_abs"] != profile.const_abs
+            or stored["y_degree"] != profile.y_degree
+        ):
+            failures.append("profile: stored coefficients do not recompute")
 
-    try:
+        block = "y_max"
         ymax = y_bound(profile)
+        if doc["y_max"] != ymax:
+            failures.append(f"y_max: stored {doc['y_max']}, recomputed {ymax}")
+
+        block = "boundary"
+        boundary = doc["boundary"]
+        wy = ymax + 1
+        rhs = max(abs(delta_of_y(profile, wy)), abs(delta_of_y(profile, -wy)))
+        if (
+            boundary["y"] != wy
+            or boundary["lhs"] != wy**params.d2
+            or boundary["rhs"] != rhs
+            or not boundary["lhs"] > boundary["rhs"]
+        ):
+            failures.append("boundary: growth witness does not re-check")
+
+        block = "candidates"
+        surviving = []
+        seen_y = set()
+        for rec in doc["candidates"]:
+            y = rec["y"]
+            seen_y.add(y)
+            value = delta_of_y(profile, y)
+            if rec["delta"] != value:
+                failures.append(f"candidates: delta({y}) stored {rec['delta']}, recomputed {value}")
+                continue
+            _, r = divmod(value, y**params.d2)
+            passes = r == 0
+            if rec["passes"] != passes:
+                failures.append(f"candidates: divisibility flag wrong at y = {y}")
+            if passes:
+                surviving.append(y)
+        expected_y = {y for y in range(-ymax, ymax + 1) if y != 0}
+        if seen_y != expected_y:
+            failures.append("candidates: box does not cover exactly 0 < |y| <= y_max")
+
+        block = "surviving"
+        if sorted(doc["surviving"]) != sorted(surviving):
+            failures.append("surviving: stored list does not match recomputed survivors")
+
+        block = "elimination"
+        elim_y0 = []
+        all_eliminated = True
+        for rec in doc["elimination"]:
+            y0 = rec["y0"]
+            elim_y0.append(y0)
+            poly = elimination_polynomial(params, y0, convention)
+            if list(poly.coefficients) != rec["cubic"]:
+                failures.append(f"elimination: polynomial at y0 = {y0} does not recompute")
+                continue
+            roots = [str(x) for x in rational_roots(poly)]
+            if roots != rec["rational_x"]:
+                failures.append(f"elimination: rational roots at y0 = {y0} do not recompute")
+            if rec["eliminated"] != (not roots):
+                failures.append(f"elimination: eliminated flag wrong at y0 = {y0}")
+            all_eliminated = all_eliminated and not roots
+        if sorted(elim_y0) != sorted(doc["surviving"]):
+            failures.append("elimination: records do not cover exactly the survivors")
+
+        block = "assumptions"
+        if ASSUMPTION_NL not in doc["assumptions"]:
+            failures.append("assumptions: missing the Nagell-Lutz-type assumption tag")
+
+        block = "conclusion"
+        conclusion = doc["conclusion"]
+        if conclusion == CONCLUSION_ELIMINATION:
+            if not all_eliminated:
+                failures.append("conclusion: point-elimination claimed but a survivor has a rational point")
+        elif conclusion == CONCLUSION_COPRIME:
+            block = "prime_scan"
+            failures.extend(_verify_coprime_block(doc, params))
+    except _MALFORMED as exc:
+        failures.append(f"{block}: malformed ({type(exc).__name__}: {exc})")
     except SelliCertError as exc:
-        return failures + [f"y_max: cannot recompute ({exc})"]
-    if doc["y_max"] != ymax:
-        failures.append(f"y_max: stored {doc['y_max']}, recomputed {ymax}")
-
-    boundary = doc["boundary"]
-    wy = ymax + 1
-    rhs = max(abs(delta_of_y(profile, wy)), abs(delta_of_y(profile, -wy)))
-    if (
-        boundary["y"] != wy
-        or boundary["lhs"] != wy**params.d2
-        or boundary["rhs"] != rhs
-        or not boundary["lhs"] > boundary["rhs"]
-    ):
-        failures.append("boundary: growth witness does not re-check")
-
-    surviving = []
-    seen_y = set()
-    for rec in doc["candidates"]:
-        y = rec["y"]
-        seen_y.add(y)
-        value = delta_of_y(profile, y)
-        if rec["delta"] != value:
-            failures.append(f"candidates: delta({y}) stored {rec['delta']}, recomputed {value}")
-            continue
-        _, r = divmod(value, y**params.d2)
-        passes = r == 0
-        if rec["passes"] != passes:
-            failures.append(f"candidates: divisibility flag wrong at y = {y}")
-        if passes:
-            surviving.append(y)
-    expected_y = {y for y in range(-ymax, ymax + 1) if y != 0}
-    if seen_y != expected_y:
-        failures.append("candidates: box does not cover exactly 0 < |y| <= y_max")
-    if sorted(doc["surviving"]) != sorted(surviving):
-        failures.append("surviving: stored list does not match recomputed survivors")
-
-    elim_y0 = []
-    all_eliminated = True
-    for rec in doc["elimination"]:
-        y0 = rec["y0"]
-        elim_y0.append(y0)
-        poly = elimination_polynomial(params, y0, convention)
-        if list(poly.coefficients) != rec["cubic"]:
-            failures.append(f"elimination: polynomial at y0 = {y0} does not recompute")
-            continue
-        roots = [str(x) for x in rational_roots(poly)]
-        if roots != rec["rational_x"]:
-            failures.append(f"elimination: rational roots at y0 = {y0} do not recompute")
-        if rec["eliminated"] != (not roots):
-            failures.append(f"elimination: eliminated flag wrong at y0 = {y0}")
-        all_eliminated = all_eliminated and not roots
-    if sorted(elim_y0) != sorted(doc["surviving"]):
-        failures.append("elimination: records do not cover exactly the survivors")
-
-    if ASSUMPTION_NL not in doc["assumptions"]:
-        failures.append("assumptions: missing the Nagell-Lutz-type assumption tag")
-
-    conclusion = doc["conclusion"]
-    if conclusion == CONCLUSION_ELIMINATION:
-        if not all_eliminated:
-            failures.append("conclusion: point-elimination claimed but a survivor has a rational point")
-    elif conclusion == CONCLUSION_COPRIME:
-        failures.extend(_verify_coprime_block(doc))
+        failures.append(f"{block}: cannot recompute ({exc})")
     return failures
 
 
-def _verify_coprime_block(doc: dict) -> list[str]:
+def _verify_coprime_block(doc: dict, params: FamilyParams) -> list[str]:
+    """Check the coprime-order block against the scan records it came from.
+
+    Only the two certificate primes have their L-polynomials rebuilt; for
+    every other prime the records are checked for presence, not content.
+    """
     failures: list[str] = []
     scan = doc.get("prime_scan")
     cert = None if scan is None else scan.get("certificate")
@@ -175,12 +197,42 @@ def _verify_coprime_block(doc: dict) -> list[str]:
         genus = jac.GenusSpec(g=genus_doc["g"], source=genus_doc["source"])
     except SelliCertError as exc:
         return [f"genus: invalid ({exc})"]
+    if genus.source == jac.GENUS_FORMULA:
+        formula = jac.genus_superelliptic(params.d2, params.d1).g
+        if genus.g != formula:
+            failures.append(f"genus: stored {genus.g}, the superelliptic formula gives {formula}")
+    elif ASSUMPTION_GENUS not in doc["assumptions"]:
+        failures.append("assumptions: user-supplied genus without the GENUS-USER tag")
+    if ASSUMPTION_INFINITY not in doc["assumptions"]:
+        failures.append("assumptions: coprime-order conclusion without the INFINITY-MODEL tag")
+
+    primes = primes_upto(scan["prime_bound"])
+    records = scan["records"]
+    if [r["p"] for r in records] != primes:
+        failures.append("prime_scan: records do not list exactly the primes up to prime_bound")
+    p1, p2 = cert["p1"], cert["p2"]
+    if not (2 < p1 < p2 and p1 in primes and p2 in primes):
+        failures.append(
+            f"certificate_primes: p1 = {p1}, p2 = {p2} are not odd primes "
+            "p1 < p2 within prime_bound"
+        )
+    by_p = {r["p"]: r for r in records}
     if gcd(cert["order1"], cert["order2"]) != 1 or cert["gcd"] != 1:
         failures.append("certificate_primes: orders are not coprime")
     for label in ("1", "2"):
         p = cert[f"p{label}"]
         stored_order = cert[f"order{label}"]
         counts_doc = cert[f"counts{label}"]
+        rec = by_p.get(p)
+        if (
+            rec is None
+            or rec["status"] != "ok"
+            or rec["order"] != stored_order
+            or rec["counts"] != counts_doc
+        ):
+            failures.append(
+                f"prime_scan: no ok record of p = {p} with the certificate's order and counts"
+            )
         if counts_doc is None:
             failures.append(f"certificate_primes: missing counts for p{label}")
             continue
@@ -202,43 +254,70 @@ def _verify_coprime_block(doc: dict) -> list[str]:
 
 def _verify_dio(doc: dict) -> list[str]:
     failures: list[str] = []
+    block = "params"
     try:
         p = doc["params"]
-        params = validate_dio_params(
-            p["a"], p["d1"], p["d2"], b_mode=p["b_mode"], m_prime=p["m_prime"]
-        )
-    except SelliCertError as exc:
-        return [f"params: invalid ({exc})"]
-    if params.b != doc["params"]["b"]:
-        failures.append("params: stored b does not match its construction")
-
-    search = doc["search"]
-    obstructions = doc["obstructions"]
-    reference = build_dio_certificate(
-        params,
-        box=search["box"],
-        modulus_bound=obstructions["modulus_bound"],
-        qr_bound=doc["replication"]["qr_law"]["prime_bound"],
-    )
-    if [list(s) for s in reference.solutions] != search["solutions"]:
-        failures.append("search: bounded search does not reproduce stored solutions")
-
-    for entry in obstructions["classes"]:
-        r = entry["r"]
-        smallest = reference.sweep_smallest[r]
-        if smallest != entry["smallest_modulus"]:
-            failures.append(
-                f"obstructions: class {r} stored modulus {entry['smallest_modulus']}, "
-                f"recomputed {smallest}"
+        try:
+            params = validate_dio_params(
+                p["a"], p["d1"], p["d2"], b_mode=p["b_mode"], m_prime=p["m_prime"]
             )
-            continue
-        cert = reference.sweep_certificates[r]
-        stored_tc = entry["tuples_checked"]
-        if cert is not None and stored_tc != cert.tuples_checked:
-            failures.append(f"obstructions: class {r} tuple count does not recompute")
+        except SelliCertError as exc:
+            return [f"params: invalid ({exc})"]
+        if params.b != p["b"]:
+            failures.append("params: stored b does not match its construction")
 
-    if reference.replication != doc["replication"]:
-        failures.append("replication: tables do not recompute")
-    if sorted(reference.discrepancies) != doc["discrepancies"]:
-        failures.append("discrepancies: list does not recompute")
+        # The rebuild runs loops bounded by these three values, so each must
+        # be an integer before anything is recomputed.
+        block = "search"
+        search = doc["search"]
+        box = search["box"]
+        block = "obstructions"
+        obstructions = doc["obstructions"]
+        modulus_bound = obstructions["modulus_bound"]
+        block = "replication"
+        qr_bound = doc["replication"]["qr_law"]["prime_bound"]
+        malformed = [
+            f"{where}: malformed ({name} must be an integer, found {value!r})"
+            for where, name, value in (
+                ("search", "box", box),
+                ("obstructions", "modulus_bound", modulus_bound),
+                ("replication", "qr_law.prime_bound", qr_bound),
+            )
+            if type(value) is not int
+        ]
+        if malformed:
+            return failures + malformed
+
+        block = "search"
+        reference = build_dio_certificate(
+            params, box=box, modulus_bound=modulus_bound, qr_bound=qr_bound
+        )
+        if [list(s) for s in reference.solutions] != search["solutions"]:
+            failures.append("search: bounded search does not reproduce stored solutions")
+
+        block = "obstructions"
+        for entry in obstructions["classes"]:
+            r = entry["r"]
+            smallest = reference.sweep_smallest[r]
+            if smallest != entry["smallest_modulus"]:
+                failures.append(
+                    f"obstructions: class {r} stored modulus {entry['smallest_modulus']}, "
+                    f"recomputed {smallest}"
+                )
+                continue
+            cert = reference.sweep_certificates[r]
+            stored_tc = entry["tuples_checked"]
+            if cert is not None and stored_tc != cert.tuples_checked:
+                failures.append(f"obstructions: class {r} tuple count does not recompute")
+
+        block = "replication"
+        if reference.replication != doc["replication"]:
+            failures.append("replication: tables do not recompute")
+        block = "discrepancies"
+        if sorted(reference.discrepancies) != doc["discrepancies"]:
+            failures.append("discrepancies: list does not recompute")
+    except _MALFORMED as exc:
+        failures.append(f"{block}: malformed ({type(exc).__name__}: {exc})")
+    except SelliCertError as exc:
+        failures.append(f"{block}: cannot recompute ({exc})")
     return failures

@@ -1,0 +1,55 @@
+"""The program surface the benchmark in perfbench/ depends on.
+
+perfbench/workloads.py sizes its jobs with `family`, `ffield`, `arith` and
+`errors` names, perfbench/tracing.py wraps named functions of several
+modules, and perfbench/run.py drives `cli.main` with the flags of each
+generated job plus `--out`, then `verify`.  Generating every workload and
+running its first job end to end fails here, instead of in a benchmark
+run, when one of those names or flags goes missing or an answer changes.
+"""
+
+import importlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from selli_cert import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS = ("curve-sweep", "prime-scan", "dio-sweep")
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import oracle
+        import tracing
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return workloads, oracle, tracing
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_first_job_matches_reference(bench, workload, tmp_path, capsys):
+    workloads, oracle, _ = bench
+    jobs, _ = workloads.generate(workload, oracle.REFERENCE_SEED)
+    job = jobs[0]
+    out = tmp_path / "cert.json"
+    rc = cli.main([*job.argv, "--out", str(out)])
+    assert rc in workloads.ALLOWED_EXITS
+    assert cli.main(["verify", str(out)]) == 0
+    want = oracle.load_reference(workload, oracle.REFERENCE_SEED)[job.key]
+    got = oracle.answer(json.loads(out.read_text()))
+    assert (rc, got) == (want["exit"], want["answer"])
+    capsys.readouterr()
+
+
+def test_traced_names_exist(bench):
+    _, _, tracing = bench
+    for module_name, attr, _, _ in tracing.PATCH_POINTS:
+        target = getattr(importlib.import_module(module_name), attr, None)
+        assert callable(target), f"{module_name}.{attr}"

@@ -122,27 +122,40 @@ def test_torsion_tamper_detected():
     assert verify_certificate(doc) != []
 
 
+def _counts(n1):
+    return {"entries": [[1, n1]], "infinity_count": 1}
+
+
 def _graft_coprime_block(doc):
     """Attach an arithmetically consistent coprime-order block.
 
     Re-verification recomputes L-polynomials from the stored counts rather
     than re-enumerating fields, so a stored-count block that is internally
-    consistent must pass and any inconsistent edit must fail.
+    consistent, whose certificate primes carry ok scan records and whose
+    genus and infinity model are tagged, must pass and any inconsistent
+    edit must fail.
     """
     doc = copy.deepcopy(doc)
     doc["conclusion"] = CONCLUSION_COPRIME
     doc["genus"] = {"g": 1, "source": GENUS_USER}
+    doc["assumptions"] = sorted(doc["assumptions"] + ["GENUS-USER", "INFINITY-MODEL"])
+    skipped = {"status": "skipped", "reason": "characteristic guard", "order": None, "counts": None}
     doc["prime_scan"] = {
         "prime_bound": 10,
-        "records": [],
+        "records": [
+            {"p": 2, **skipped},
+            {"p": 3, **skipped},
+            {"p": 5, "status": "ok", "reason": None, "order": 9, "counts": _counts(9)},
+            {"p": 7, "status": "ok", "reason": None, "order": 5, "counts": _counts(5)},
+        ],
         "certificate": {
             "p1": 5,
             "p2": 7,
             "order1": 9,
             "order2": 5,
             "gcd": 1,
-            "counts1": {"entries": [[1, 9]], "infinity_count": 1},
-            "counts2": {"entries": [[1, 5]], "infinity_count": 1},
+            "counts1": _counts(9),
+            "counts2": _counts(5),
         },
     }
     return doc
@@ -164,6 +177,50 @@ def test_coprime_block_recheck():
     doc = copy.deepcopy(good)
     doc["prime_scan"]["certificate"] = None
     assert verify_certificate(doc) != []
+
+
+def _failures_after(edit):
+    doc = _graft_coprime_block(
+        torsion_doc(a=25, m=2, d1=3, d2=14, convention="paper-ex2", **default_build_kw())
+    )
+    edit(doc)
+    return " | ".join(verify_certificate(doc))
+
+
+def test_coprime_block_must_match_its_scan():
+    def swap_pair(doc):
+        c = doc["prime_scan"]["certificate"]
+        c["p1"], c["p2"] = c["p2"], c["p1"]
+        c["order1"], c["order2"] = c["order2"], c["order1"]
+        c["counts1"], c["counts2"] = c["counts2"], c["counts1"]
+
+    def composite_p2(doc):
+        doc["prime_scan"]["certificate"]["p2"] = 9
+        doc["prime_scan"]["records"].append(
+            {"p": 9, "status": "ok", "reason": None, "order": 5, "counts": _counts(5)}
+        )
+
+    def record(i, **changes):
+        return lambda doc: doc["prime_scan"]["records"][i].update(changes)
+
+    cases = [
+        (lambda doc: doc["prime_scan"].update(records=[]), "records do not list exactly"),
+        (lambda doc: doc["prime_scan"]["records"].pop(1), "records do not list exactly"),
+        (lambda doc: doc["prime_scan"].update(prime_bound=6), "within prime_bound"),
+        (swap_pair, "p1 = 7, p2 = 5"),
+        (composite_p2, "are not odd primes"),
+        (record(2, status="skipped"), "no ok record of p = 5"),
+        (record(3, order=7), "no ok record of p = 7"),
+        (record(2, counts=_counts(8)), "no ok record of p = 5"),
+        (lambda doc: doc["assumptions"].remove("GENUS-USER"), "GENUS-USER"),
+        (lambda doc: doc["assumptions"].remove("INFINITY-MODEL"), "INFINITY-MODEL"),
+        (
+            lambda doc: doc.update(genus={"g": 1, "source": "formula-superelliptic"}),
+            "stored 1, the superelliptic formula gives 13",
+        ),
+    ]
+    for edit, message in cases:
+        assert message in _failures_after(edit), message
 
 
 def test_torsion_missing_assumption_flagged():

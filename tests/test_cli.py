@@ -135,6 +135,34 @@ def test_analyze_curve_bytes_pinned(capsys, tmp_path, args):
     assert (code, digest) == TORSION_CERT_SHA256[args]
 
 
+# sha256 of the canonical analyze-curve JSON for two standard-convention
+# members with d1 > 3, recorded when every Delta(y) was a Sylvester-matrix
+# determinant; the closed-form discriminant must reproduce these bytes
+STANDARD_CERT_SHA256 = {
+    ("469", "4", "9", "74"): (
+        2, "d79fcc03cf7974c3f855b6a8d616018aefd0795fe70c76ead37d07e001a7bd85"
+    ),
+    ("25", "3", "15", "134"): (
+        2, "641056f9d1de258215f9bd06d86d91a723117a6899e98d7550d29c559e26ca7d"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "args", sorted(STANDARD_CERT_SHA256), ids=lambda t: f"a{t[0]}-d1_{t[2]}"
+)
+def test_analyze_curve_standard_bytes_pinned(capsys, tmp_path, args):
+    a, m, d1, d2 = args
+    out = tmp_path / "torsion.json"
+    code, _, _ = run_cli(
+        capsys,
+        "analyze-curve", "--a", a, "--m", m, "--d1", d1, "--d2", d2,
+        "--convention", "standard", "--threads", "1", "--out", str(out),
+    )
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert (code, digest) == STANDARD_CERT_SHA256[args]
+
+
 def test_count_points(capsys):
     code, stdout, _ = run_cli(
         capsys, "count-points", "--curve", "y^2=x^3+1", "--p", "5"
@@ -229,8 +257,79 @@ def test_verify_missing_file(capsys):
 def test_verify_malformed_json(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    code, _, _ = run_cli(capsys, "verify", str(path))
-    assert code == 1
+    code, _, stderr = run_cli(capsys, "verify", str(path))
+    assert code == 3
+    assert "FAIL document: malformed" in stderr
+
+
+def _verify_edited(capsys, path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return run_cli(capsys, "verify", str(path))
+
+
+def test_verify_reports_malformed_fields(capsys, tmp_path):
+    torsion = tmp_path / "torsion.json"
+    dio = tmp_path / "dio.json"
+    run_cli(
+        capsys,
+        "analyze-curve", "--a", "13", "--m", "1", "--d1", "3", "--d2", "10",
+        "--out", str(torsion),
+    )
+    run_cli(
+        capsys,
+        "check-diophantine", "--a", "13", "--d1", "3", "--d2", "2", "--box", "5",
+        "--modulus-bound", "24", "--out", str(dio),
+    )
+    cases = [
+        (torsion, lambda doc: doc.pop("profile"), "FAIL profile: malformed (KeyError"),
+        (torsion, lambda doc: doc.update(candidates=None), "FAIL candidates: malformed (TypeError"),
+        (
+            dio,
+            lambda doc: doc["search"].update(box="30"),
+            "FAIL search: malformed (box must be an integer, found '30')",
+        ),
+    ]
+    for path, edit, message in cases:
+        text = path.read_text()
+        code, _, stderr = _verify_edited(capsys, path, edit)
+        path.write_text(text)
+        assert code == 3, message
+        assert message in stderr
+
+
+def test_verify_rejects_forged_coprime_block(capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    code, _, _ = run_cli(
+        capsys,
+        "analyze-curve", "--a", "13", "--m", "2", "--d1", "3", "--d2", "4",
+        "--convention", "paper-ex2", "--out", str(path),
+    )
+    assert code == 2  # the survivor y0 = 1 has the rational point x = 2
+
+    def forge(doc):
+        doc["conclusion"] = "TRIVIAL_BY_COPRIME_ORDERS"
+        doc["genus"] = {"g": 1, "source": "formula-superelliptic"}
+        doc["prime_scan"] = {
+            "prime_bound": 60,
+            "records": [],
+            "certificate": {
+                "p1": 9, "p2": 7, "order1": 8, "order2": 9, "gcd": 1,
+                "counts1": {"entries": [[1, 8]], "infinity_count": 1},
+                "counts2": {"entries": [[1, 9]], "infinity_count": 1},
+            },
+        }
+
+    code, _, stderr = _verify_edited(capsys, path, forge)
+    assert code == 3
+    for message in (
+        "genus: stored 1, the superelliptic formula gives 3",
+        "INFINITY-MODEL",
+        "records do not list exactly the primes",
+        "p1 = 9, p2 = 7 are not odd primes",
+    ):
+        assert message in stderr, message
 
 
 def test_threads_env_fallback(capsys, tmp_path, monkeypatch):

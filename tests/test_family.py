@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selli_cert.errors import HypothesisError, ParameterError
@@ -16,6 +16,7 @@ from selli_cert.family import (
     y_bound,
     y_candidates,
 )
+from selli_cert.polyring import IntPolynomial, discriminant
 
 
 def test_validate_derives_b():
@@ -97,6 +98,32 @@ def test_delta_of_y_closed_form():
     assert delta_of_y(prof, 1) == -52 - 47473452
     assert delta_of_y(prof, 2) == -52 * 8 - 47473452
     assert delta_of_y(prof, -1) == 52 - 47473452
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([3, 9, 15, 21]),
+    st.sampled_from(["standard", "paper-ex2"]),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=1000),
+    st.booleans(),
+)
+@example(9, "standard", 4, 39, 17, True)
+@example(15, "paper-ex2", 0, 2, 1000, False)
+@example(15, "standard", 0, 2, 3, True)
+def test_delta_of_y_matches_resultant_discriminant(d1, convention, m, k, y, negate):
+    """Delta(y) equals the Sylvester-matrix discriminant in x of
+    a*x^d1 + s*y*x - (m^2 + b), built here from the family's definition."""
+    params = validate_params(1 + 12 * k, m, d1, 22)
+    y = -y if negate else y
+    s = m if convention == "standard" else 1
+    coeffs = [0] * (d1 + 1)
+    coeffs[0] = -(m * m + params.b)
+    coeffs[1] = s * y
+    coeffs[d1] = params.a
+    expected = discriminant(IntPolynomial.from_coefficients(coeffs))
+    assert delta_of_y(discriminant_profile(params, convention), y) == expected
 
 
 def test_y_bound_examples():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from selli_cert.errors import ParameterError
 from selli_cert.polyring import (
     IntPolynomial,
-    cubic_discriminant,
     discriminant,
     rational_roots,
     resultant,
@@ -91,14 +90,6 @@ def test_discriminant_repeated_root_vanishes():
     assert discriminant(f) == 0
     g = P(0, 0, 1) * P(-1, 1)  # x^2 (x-1)
     assert discriminant(g) == 0
-
-
-def test_cubic_discriminant_closed_form():
-    assert cubic_discriminant(13, 0, 1, -102) == -47473504
-    assert cubic_discriminant(13, 0, 1, -103) == -48408919
-    assert cubic_discriminant(25, 0, 1, -201) == -681766975
-    # matches the resultant-based route
-    assert cubic_discriminant(13, 0, 1, -102) == discriminant(P(-102, 1, 0, 13))
 
 
 def _gcd_nonconstant(f, g):
