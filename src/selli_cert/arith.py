@@ -9,6 +9,7 @@ that range are refused rather than answered probabilistically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd, isqrt
 
 from .errors import BudgetExceededError, ParameterError
@@ -155,7 +156,7 @@ def primes_upto(n: int) -> list[int]:
     for i in range(2, isqrt(n) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(n + 1) if sieve[i]]
+    return list(compress(range(n + 1), sieve))
 
 
 def coprime(a: int, b: int) -> bool:

@@ -6,6 +6,10 @@ as executable certificates: exhaustive bounded search, the small-modulus
 tables the insolubility proof leans on, and a general residue-class
 obstruction engine.
 
+The bounded search solves for z by the quadratic formula, so it visits
+(x, y) pairs; a square sieve on the discriminant (modulo 64 and a few small
+moduli) discards almost every pair with numpy before the exact isqrt test.
+
 An obstruction certificate is a modulus M and an x-class (r, c) with c | M
 such that no (x, y, z) in (Z/M)^3 with x = r (mod c) satisfies the
 congruence; any integer solution with x = r (mod c) would reduce to one,
@@ -17,14 +21,14 @@ The class is certified empty through the prime-power factors q = p^e || M
 and CRT.  For fixed x, the congruence is solvable mod M exactly when it is
 solvable mod every q, and the x-class is the product over q of the classes
 x = r (mod gcd(c, q)).  So the class is empty mod M exactly when, for some
-single q, no x = r (mod gcd(c, q)) is solvable mod q.  Only (Z/q)^3 is
-enumerated, once per q, never (Z/M)^3.
+single q, no x = r (mod gcd(c, q)) is solvable mod q.  Each q is settled
+once, in O(q^2) steps (see `_solvable_flags`); (Z/M)^3 is never enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -107,6 +111,25 @@ def eval_equation(params: DioParams, x: int, y: int, z: int) -> int:
     return eval_lhs(params.a, params.b, params.d1, params.d2, x, y, z)
 
 
+# The square sieve of search_box tests D mod 64 on every (x, y) pair, with a
+# mask instead of a division, then D mod each of these on the pairs left.
+# 64, 63 and 65 keep 12, 16 and 21 of their residues, the primes p keep
+# (p + 1) / 2.  Every modulus is at most 65, so every value the sieve
+# computes lies within 64^2 + 64 of zero and fits int16.
+_SIEVE_MODULI = (63, 65, 11, 17, 19, 23)
+
+# At most this many (x, y) pairs are sieved at once, so the sieve's arrays
+# take O(box) memory, never O(box^2).
+_SEARCH_BLOCK_PAIRS = 1 << 15
+
+
+def _square_table(m: int) -> np.ndarray:
+    """is_square[r]: is r a square mod m?"""
+    is_square = np.zeros(m, dtype=bool)
+    is_square[np.arange(m) ** 2 % m] = True
+    return is_square
+
+
 def search_box(
     a: int,
     b: int,
@@ -121,18 +144,55 @@ def search_box(
     come from z = (xy +- sqrt(D))/2 with D = (xy)^2 + 4(a x^d1 - y^d2 - b)
     a perfect square; D = (xy)^2 (mod 4) makes both roots automatically
     integral.  This visits (2*box+1)^2 pairs instead of the cube.
+
+    A perfect square is a square modulo every m, so a pair whose D is not
+    a square mod 64 or mod one of `_SIEVE_MODULI` has no solution and is
+    dropped (Cohen, Alg. 1.7.3).  The sieve only ever drops such pairs;
+    every survivor still goes through the exact isqrt check.  The sieve
+    reduces x, y and both big terms mod m before it multiplies, so its
+    int16 values stay below 2^15 at any box, and it runs over blocks of at
+    most `_SEARCH_BLOCK_PAIRS` pairs, so its memory is O(box).
     """
     if box < 1:
         raise ParameterError("box must be >= 1")
-    solutions: set[tuple[int, int, int]] = set()
-    ys = range(-box, box + 1)
+    xs = [
+        x
+        for x in range(-box, box + 1)
+        if x_class is None or (x - x_class[0]) % x_class[1] == 0
+    ]
+    ys = list(range(-box, box + 1))
+    x_terms = [4 * (a * x**d1 - b) for x in xs]
     y_terms = [4 * y**d2 for y in ys]
-    for x in range(-box, box + 1):
-        if x_class is not None and (x - x_class[0]) % x_class[1] != 0:
-            continue
-        x_term = 4 * (a * x**d1 - b)
-        for y, y_term in zip(ys, y_terms):
-            disc = (x * y) ** 2 + x_term - y_term
+    # one reduction of each big term mod the product of all the moduli
+    # (below 2^35), then numpy reduces that mod each modulus
+    lcm = 64 * prod(_SIEVE_MODULI)
+    columns = [
+        np.array(xs, dtype=np.int64),
+        np.array([t % lcm for t in x_terms], dtype=np.int64),
+        np.array(ys, dtype=np.int64),
+        np.array([t % lcm for t in y_terms], dtype=np.int64),
+    ]
+    x64, x_term64, y64, y_term64 = ((c & 63).astype(np.int16) for c in columns)
+    square64 = _square_table(64)
+    sieve = [
+        (m, _square_table(m), *((c % m).astype(np.int16) for c in columns))
+        for m in _SIEVE_MODULI
+    ]
+    solutions: set[tuple[int, int, int]] = set()
+    rows = max(1, _SEARCH_BLOCK_PAIRS // len(ys))
+    for start in range(0, len(xs), rows):
+        block = slice(start, start + rows)
+        xy = x64[block, None] * y64 & 63
+        disc64 = xy * xy + x_term64[block, None] - y_term64 & 63
+        i, j = np.divmod(np.flatnonzero(square64.take(disc64)), len(ys))
+        i += start
+        for m, is_square, x_res, x_term_res, y_res, y_term_res in sieve:
+            xy = x_res[i] * y_res[j] % m
+            keep = is_square[(xy * xy + x_term_res[i] - y_term_res[j]) % m]
+            i, j = i[keep], j[keep]
+        for row, col in zip(i.tolist(), j.tolist()):
+            x, y = xs[row], ys[col]
+            disc = (x * y) ** 2 + x_terms[row] - y_terms[col]
             if disc < 0:
                 continue
             root = isqrt(disc)
@@ -233,25 +293,23 @@ class ObstructionCertificate:
 
 
 def _solvable_flags(a: int, b: int, d1: int, d2: int, modulus: int) -> list[bool]:
-    """For each x in Z/M: does some (y, z) in (Z/M)^2 solve the congruence?
+    """For each x in Z/q: does some (y, z) in (Z/q)^2 solve the congruence?
 
-    Vectorized over the (y, z) grid; all intermediate products stay below
-    M^3, far inside int64 range for M <= a few thousand.
+    The congruence reads z^2 - s*z = c with s = x*y and c = a*x^d1 - b - y^d2.
+    One q x q grid over (s, z) tabulates hit[s, c], "some z in Z/q has
+    z^2 - s*z = c"; a second over (x, y) looks up hit[x*y, c].  So the work
+    is O(q^2), not O(q^3).  Since z runs over all of Z/q, nothing divides
+    by 2 and the table is exact for every q, powers of 2 included.  All
+    int64 values stay below q^2 in absolute value.
     """
-    M = modulus
-    ys = np.arange(M, dtype=np.int64)
-    pow_d2 = np.ones(M, dtype=np.int64)
-    for _ in range(d2):
-        pow_d2 = (pow_d2 * ys) % M
-    squares = (ys * ys) % M
-    base = (pow_d2[:, None] + squares[None, :]) % M  # y^d2 + z^2
-    yz = (ys[:, None] * ys[None, :]) % M
-    out = []
-    for x in range(M):
-        rhs = (a * pow(x, d1, M) - b) % M
-        lhs = (base + (M - x) * yz) % M  # y^d2 + z^2 - x*y*z
-        out.append(bool(np.any(lhs == rhs)))
-    return out
+    q = modulus
+    v = np.arange(q, dtype=np.int64)
+    hit = np.zeros((q, q), dtype=bool)
+    hit[v[:, None], (v * v - v[:, None] * v) % q] = True  # rows s, columns z
+    y_pow = np.array([pow(y, d2, q) for y in range(q)], dtype=np.int64)
+    x_rhs = np.array([(a * pow(x, d1, q) - b) % q for x in range(q)], dtype=np.int64)
+    solvable = hit[v[:, None] * v % q, (x_rhs[:, None] - y_pow) % q]  # rows x, columns y
+    return solvable.any(axis=1).tolist()
 
 
 def _class_obstructed(
@@ -348,14 +406,32 @@ def obstruction_sweep(params: DioParams, modulus_bound: int) -> SweepResult:
     )
 
 
+# qr_law_check multiplies residues below the bound in int64; 3037000499 is
+# the largest n with n^2 < 2^63.
+_QR_INT64_BOUND = 3_037_000_500
+
+
 def qr_law_check(prime_bound: int) -> bool:
-    """For every prime 5 <= p <= bound: legendre(3, p) = 1 iff p = +-1 mod 12."""
+    """For every prime 5 <= p <= bound: legendre(3, p) = 1 iff p = +-1 mod 12.
+
+    Euler's criterion, 3^((p-1)/2) mod p, by square-and-multiply over the
+    exponent bits for all sieved primes at once (they are prime, so no
+    primality test is due).  Every product is of two residues below
+    p <= prime_bound, so it stays below 2^63 while prime_bound is below
+    `_QR_INT64_BOUND`; larger bounds are refused.
+    """
     if prime_bound < 5:
         raise ParameterError("prime_bound must be >= 5")
-    for p in primes_upto(prime_bound):
-        if p < 5:
-            continue
-        # Euler's criterion; p is a sieved prime, so no primality test is due
-        if (pow(3, (p - 1) // 2, p) == 1) != (p % 12 in (1, 11)):
-            return False
-    return True
+    if prime_bound >= _QR_INT64_BOUND:
+        raise BudgetExceededError(
+            f"qr bound {prime_bound} would overflow int64 products; "
+            f"the limit is {_QR_INT64_BOUND}"
+        )
+    p = np.array(primes_upto(prime_bound)[2:], dtype=np.int64)
+    exponent = (p - 1) // 2
+    power = np.ones_like(p)
+    base = 3 % p
+    for bit in range(int(exponent[-1]).bit_length()):
+        power = np.where(exponent >> bit & 1, power * base % p, power)
+        base = base * base % p
+    return bool(np.array_equal(power == 1, (p % 12 == 1) | (p % 12 == 11)))

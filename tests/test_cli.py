@@ -82,27 +82,60 @@ def test_check_diophantine(capsys, tmp_path):
 
 # sha256 of the canonical check-diophantine JSON at --modulus-bound 360,
 # recorded from a sweep that enumerated all of (Z/M)^3 per modulus; the
-# prime-power engine must reproduce these bytes exactly
+# prime-power engine must reproduce these bytes exactly.  The box-300 run
+# was recorded from a search that took an isqrt of every (x, y) pair; the
+# sieved search must reproduce it too.
 DIO_CERT_SHA256 = {
-    (13, 3, 2): "013724672bbde29f2808b4125e0a4078e370ba34630b4e2fe07dabbc3a9e57cc",
-    (25, 3, 4): "364128bae3ff6afc738d1d0404dfc6cf2c0a61cfb3da48e785f020e7ff736f93",
-    (13, 3, 10): "2d63d9069896f354f3a87e661276163ec82acd503036268a1d55c9c33b9104a6",
+    (13, 3, 2, 30): "013724672bbde29f2808b4125e0a4078e370ba34630b4e2fe07dabbc3a9e57cc",
+    (25, 3, 4, 30): "364128bae3ff6afc738d1d0404dfc6cf2c0a61cfb3da48e785f020e7ff736f93",
+    (13, 3, 10, 30): "2d63d9069896f354f3a87e661276163ec82acd503036268a1d55c9c33b9104a6",
+    (25, 3, 4, 300): "2b2402b3d911cae319ce8a1e3396fc958c0e0254588759fa972b44a982c0c1dd",
 }
 
 
 @pytest.mark.parametrize(
-    "triple", sorted(DIO_CERT_SHA256), ids=lambda t: "-".join(map(str, t))
+    "args",
+    sorted(DIO_CERT_SHA256),
+    ids=lambda t: "-".join(map(str, t[:3])) + ("" if t[3] == 30 else f"-box{t[3]}"),
 )
-def test_check_diophantine_bytes_pinned(capsys, tmp_path, triple):
-    a, d1, d2 = triple
+def test_check_diophantine_bytes_pinned(capsys, tmp_path, args):
+    a, d1, d2, box = args
     out = tmp_path / "dio.json"
     code, _, _ = run_cli(
         capsys,
         "check-diophantine", "--a", str(a), "--d1", str(d1), "--d2", str(d2),
-        "--modulus-bound", "360", "--out", str(out),
+        "--box", str(box), "--modulus-bound", "360", "--out", str(out),
     )
     assert code == 2
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIO_CERT_SHA256[triple]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIO_CERT_SHA256[args]
+
+
+def test_main_calls_do_not_share_parsed_values(capsys, tmp_path):
+    # main() reuses one parser; each call must still see only its own flags
+    timed, plain = tmp_path / "timed.json", tmp_path / "plain.json"
+    code, _, _ = run_cli(
+        capsys,
+        "check-diophantine", "--a", "13", "--d1", "3", "--d2", "2", "--box", "5",
+        "--modulus-bound", "24", "--qr-bound", "50", "--timing", "--out", str(timed),
+    )
+    assert code == 2
+    assert json.loads(timed.read_text())["timing"] > 0
+    code, _, _ = run_cli(
+        capsys, "check-diophantine", "--a", "25", "--d1", "3", "--d2", "4",
+        "--out", str(plain),
+    )
+    assert code == 2
+    doc = json.loads(plain.read_text())
+    assert doc["timing"] is None
+    assert (doc["params"]["a"], doc["search"]["box"]) == (25, 30)
+    assert doc["obstructions"]["modulus_bound"] == 360
+    assert doc["replication"]["qr_law"]["prime_bound"] == 10**4
+    code, stdout, _ = run_cli(
+        capsys, "analyze-curve", "--a", "13", "--m", "1", "--d1", "3", "--d2", "10"
+    )
+    assert code == 0
+    assert json.loads(stdout)["timing"] is None
+    assert run_cli(capsys, "verify", str(plain))[0] == 0
 
 
 # sha256 of the canonical analyze-curve JSON for two prime-scan runs

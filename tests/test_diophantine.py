@@ -1,10 +1,12 @@
 import time
+from math import isqrt
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from selli_cert import diophantine
 from selli_cert.diophantine import (
     DioParams,
     Mod4Tables,
@@ -69,18 +71,24 @@ def test_bounded_search_empty_for_all_triples():
         assert bounded_search(params, 30) == [], (a, d1, d2)
 
 
+def _cube_solutions(a, b, d1, d2, box, x_class=None):
+    """Every (x, y, z) in the box solving the equation, by visiting the cube."""
+    r = range(-box, box + 1)
+    return sorted(
+        (x, y, z)
+        for x in r
+        if x_class is None or (x - x_class[0]) % x_class[1] == 0
+        for y in r
+        for z in r
+        if eval_lhs(a, b, d1, d2, x, y, z) == 0
+    )
+
+
 def test_search_matches_bruteforce_small():
     for a, d1, d2 in PARAM_TRIPLES:
         params = validate_dio_params(a, d1, d2)
         fast = search_box(params.a, params.b, d1, d2, 8)
-        slow = sorted(
-            (x, y, z)
-            for x in range(-8, 9)
-            for y in range(-8, 9)
-            for z in range(-8, 9)
-            if eval_lhs(params.a, params.b, d1, d2, x, y, z) == 0
-        )
-        assert fast == slow
+        assert fast == _cube_solutions(params.a, params.b, d1, d2, 8)
 
 
 def test_search_planted_root_fires():
@@ -110,6 +118,66 @@ def test_search_box_validation():
         search_box(13, 101, 3, 2, 0)
 
 
+def _pair_solutions(a, b, d1, d2, box):
+    """Every solution in the box, by an exact isqrt test of every (x, y)."""
+    sols = set()
+    for x in range(-box, box + 1):
+        for y in range(-box, box + 1):
+            disc = (x * y) ** 2 + 4 * (a * x**d1 - b) - 4 * y**d2
+            if disc < 0 or isqrt(disc) ** 2 != disc:
+                continue
+            for root in (isqrt(disc), -isqrt(disc)):
+                z = (x * y + root) // 2
+                if abs(z) <= box:
+                    sols.add((x, y, z))
+    return sorted(sols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.integers(-30, 30),
+    d1=st.sampled_from([1, 2, 3, 9, 15]),
+    d2=st.sampled_from([2, 4, 6, 8, 10, 14]),
+    box=st.integers(1, 12),
+    free_b=st.integers(-10**6, 10**6),
+    planted=st.none() | st.tuples(*[st.integers(-12, 12)] * 3),
+    x_class=st.none() | st.tuples(st.integers(-6, 6), st.integers(1, 6)),
+)
+@example(a=1, d1=3, d2=2, box=5, free_b=0, planted=(1, 2, 5), x_class=None)  # z = box
+@example(a=1, d1=3, d2=2, box=5, free_b=0, planted=(1, -2, -5), x_class=None)  # z = -box
+@example(a=7, d1=9, d2=4, box=4, free_b=0, planted=(0, 2, 3), x_class=None)  # x = 0
+@example(a=-3, d1=15, d2=6, box=6, free_b=0, planted=(1, 0, 4), x_class=(1, 3))  # y = 0
+@example(a=5, d1=2, d2=14, box=3, free_b=0, planted=(0, 0, 0), x_class=None)  # origin
+def test_search_box_matches_cube(a, d1, d2, box, free_b, planted, x_class):
+    b = free_b if planted is None else eval_lhs(a, 0, d1, d2, *planted)
+    found = search_box(a, b, d1, d2, box, x_class)
+    assert found == _cube_solutions(a, b, d1, d2, box, x_class)
+    if planted is not None and max(map(abs, planted)) <= box:
+        if x_class is None or (planted[0] - x_class[0]) % x_class[1] == 0:
+            assert planted in found
+
+
+@pytest.mark.parametrize("block_pairs", [1, 17, 3 * 17])
+def test_search_box_small_row_blocks(monkeypatch, block_pairs):
+    # box 8 has 17 rows of 17 pairs, sieved 1, 1 or 3 rows at a time; with
+    # 3 the last block holds only 2 rows, and the planted root is in its last
+    a, d1, d2, box = 13, 3, 2, 8
+    b = eval_lhs(a, 0, d1, d2, box, 3, -4)
+    expected = _cube_solutions(a, b, d1, d2, box)
+    assert (box, 3, -4) in expected
+    monkeypatch.setattr(diophantine, "_SEARCH_BLOCK_PAIRS", block_pairs)
+    assert search_box(a, b, d1, d2, box) == expected
+
+
+@pytest.mark.parametrize("triple", [(13, 3, 2), (25, 9, 4), (37, 15, 14)])
+def test_search_box_300_matches_pair_loop(triple):
+    params = validate_dio_params(*triple)
+    for b in (params.b, eval_lhs(params.a, 0, params.d1, params.d2, 2, -250, 299)):
+        expected = _pair_solutions(params.a, b, params.d1, params.d2, 300)
+        assert search_box(params.a, b, params.d1, params.d2, 300) == expected
+    assert (2, -250, 299) in expected
+
+
 def test_mod4_tables():
     t = mod4_obstruction()
     assert t.squares_attained == (0, 1)
@@ -130,6 +198,12 @@ def test_qr_law_holds():
     assert qr_law_check(10**4)
     with pytest.raises(ParameterError):
         qr_law_check(3)
+
+
+def test_qr_law_refuses_bounds_past_int64():
+    # refused before the sieve allocates anything
+    with pytest.raises(BudgetExceededError):
+        qr_law_check(diophantine._QR_INT64_BOUND)
 
 
 def test_residue_obstruction_mod4():
@@ -229,6 +303,13 @@ def _cube_solvable_x(a, b, d1, d2, modulus):
         if (values == 0).any():
             solvable.add(x)
     return solvable
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64, 3, 9, 27, 81, 5, 25, 7, 49, 11, 13])
+@pytest.mark.parametrize("abd", [(13, 101, 3, 2), (-8, -72, 6, 4), (35, -125, 7, 2)])
+def test_solvable_flags_prime_powers_match_cube(q, abd):
+    flags = diophantine._solvable_flags(*abd, q)
+    assert {x for x, ok in enumerate(flags) if ok} == _cube_solvable_x(*abd, q)
 
 
 @settings(max_examples=40, deadline=None)
