@@ -12,6 +12,9 @@ Every certificate is canonical JSON and can be re-verified offline with
 ``selli-cert verify``.
 """
 
+# Set before the submodules load: certificates stamps it as tool_version.
+__version__ = "0.1.0"
+
 from .certificates import (
     DioCertificate,
     TorsionCertificate,
@@ -26,16 +29,13 @@ from .errors import (
     NonIntegerCoefficientError,
     ParameterError,
     SelliCertError,
-    VerificationError,
     WeilViolationError,
 )
-from .family import FamilyParams, discriminant_profile, torsion_report, validate_params, y_candidates
+from .family import FamilyParams, discriminant_profile, validate_params, y_candidates
 from .ffield import CurveEquation, count_points, find_irreducible, is_smooth_mod_p
 from .jacobian import GenusSpec, genus_superelliptic, jacobian_order, l_polynomial_from_counts
 from .polyring import IntPolynomial, discriminant, rational_roots, resultant
 from .verify import verify_certificate
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",
@@ -50,7 +50,6 @@ __all__ = [
     "ParameterError",
     "SelliCertError",
     "TorsionCertificate",
-    "VerificationError",
     "WeilViolationError",
     "bounded_search",
     "build_dio_certificate",
@@ -67,7 +66,6 @@ __all__ = [
     "obstruction_sweep",
     "rational_roots",
     "resultant",
-    "torsion_report",
     "validate_dio_params",
     "validate_params",
     "verify_certificate",

@@ -1,5 +1,5 @@
-"""Exact elementary number theory: valuations, Legendre symbols, primality,
-and budgeted integer factorization.
+"""Exact elementary number theory: Legendre symbols, primality, budgeted
+integer factorization and a prime sieve.
 
 Everything here is deterministic.  The primality test is the fixed-base
 Miller-Rabin battery that is *proved* correct below 3.3e24; inputs beyond
@@ -8,15 +8,12 @@ that range are refused rather than answered probabilistically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import BudgetExceededError, ParameterError
 
 __all__ = [
-    "Valuation",
-    "padic_valuation",
     "legendre_symbol",
     "is_prime",
     "factorize",
@@ -28,19 +25,6 @@ __all__ = [
 # n < 3,317,044,064,679,887,385,961,981 (Sorenson-Webster 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
-
-
-@dataclass(frozen=True)
-class Valuation:
-    """p-adic valuation v_p(n).  exponent is None exactly when n = 0,
-    standing in for +infinity."""
-
-    prime: int
-    exponent: int | None
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.exponent is None
 
 
 def is_prime(n: int) -> bool:
@@ -74,20 +58,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def padic_valuation(n: int, p: int) -> Valuation:
-    """Largest e with p^e | n; v_p(0) is infinite."""
-    if not is_prime(p):
-        raise ParameterError(f"p = {p} is not prime")
-    if n == 0:
-        return Valuation(prime=p, exponent=None)
-    e = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        e += 1
-    return Valuation(prime=p, exponent=e)
 
 
 def legendre_symbol(a: int, p: int) -> int:
@@ -157,7 +127,3 @@ def primes_upto(n: int) -> list[int]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return list(compress(range(n + 1), sieve))
-
-
-def coprime(a: int, b: int) -> bool:
-    return gcd(a, b) == 1

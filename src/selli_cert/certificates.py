@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 from math import gcd
 
+from . import __version__
 from . import jacobian as jac
 from .diophantine import (
     DioParams,
@@ -45,7 +46,6 @@ from .ffield import CurveEquation, PointCountTable
 SCHEMA = "selli-cert/1"
 TORSION_KIND = "torsion-triviality"
 DIO_KIND = "diophantine-insolubility"
-TOOL_VERSION = "0.1.0"
 
 CONCLUSION_ELIMINATION = "TRIVIAL_BY_POINT_ELIMINATION"
 CONCLUSION_COPRIME = "TRIVIAL_BY_COPRIME_ORDERS"
@@ -64,6 +64,14 @@ DEFAULT_QR_BOUND = 10**4
 
 def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def candidates_list(cs: CandidateSet) -> list[dict]:
+    """The candidate box as rendered in torsion and y-candidates output."""
+    return [
+        {"y": r.y, "delta": r.delta_value, "passes": r.passes_divisibility}
+        for r in cs.candidates
+    ]
 
 
 # ---- torsion certificate ----
@@ -91,7 +99,7 @@ class TorsionCertificate:
         return {
             "schema": SCHEMA,
             "kind": TORSION_KIND,
-            "tool_version": TOOL_VERSION,
+            "tool_version": __version__,
             "params": {
                 "a": p.a,
                 "m": p.m,
@@ -117,10 +125,7 @@ class TorsionCertificate:
                 "rhs": cs.boundary_rhs,
             },
             "zero_reason": cs.zero_reason,
-            "candidates": [
-                {"y": r.y, "delta": r.delta_value, "passes": r.passes_divisibility}
-                for r in cs.candidates
-            ],
+            "candidates": candidates_list(cs),
             "surviving": list(cs.surviving),
             "elimination": [
                 {
@@ -296,7 +301,7 @@ class DioCertificate:
         return {
             "schema": SCHEMA,
             "kind": DIO_KIND,
-            "tool_version": TOOL_VERSION,
+            "tool_version": __version__,
             "params": {
                 "a": p.a,
                 "b": p.b,

@@ -20,6 +20,7 @@ from . import jacobian as jac
 from .certificates import (
     build_dio_certificate,
     build_torsion_certificate,
+    candidates_list,
     canonical_json,
 )
 from .errors import HypothesisError, SelliCertError
@@ -162,10 +163,7 @@ def _cmd_y_candidates(args) -> int:
             "convention": args.convention,
             "profile": {"c3": profile.c3, "c0": profile.c0},
             "y_max": cs.y_max,
-            "candidates": [
-                {"y": r.y, "delta": r.delta_value, "passes": r.passes_divisibility}
-                for r in cs.candidates
-            ],
+            "candidates": candidates_list(cs),
             "surviving": list(cs.surviving),
         },
         args.out,

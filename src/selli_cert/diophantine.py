@@ -3,8 +3,8 @@
     a*x^d1 - y^d2 - z^2 + x*y*z - b = 0,      b = 2^d1 * a - 3,
 
 as executable certificates: exhaustive bounded search, the small-modulus
-tables the insolubility proof leans on, and a general residue-class
-obstruction engine.
+tables the insolubility proof leans on, and a sweep that finds, for each
+class of x mod 12, the smallest multiple of 12 modulo which it is empty.
 
 The bounded search solves for z by the quadratic formula, so it visits
 (x, y) pairs; a square sieve on the discriminant (modulo 64 and a few small
@@ -43,17 +43,13 @@ __all__ = [
     "SweepResult",
     "validate_dio_params",
     "eval_lhs",
-    "eval_equation",
     "search_box",
     "bounded_search",
     "mod4_obstruction",
     "parity_claim_check",
-    "residue_obstruction",
     "obstruction_sweep",
     "qr_law_check",
 ]
-
-DEFAULT_MAX_MODULUS = 360
 
 B_MODES = ("standard", "corollary1")
 
@@ -105,10 +101,6 @@ def validate_dio_params(
 def eval_lhs(a: int, b: int, d1: int, d2: int, x: int, y: int, z: int) -> int:
     """Exact left-hand side, usable with arbitrary (possibly invalid) b."""
     return a * x**d1 - y**d2 - z * z + x * y * z - b
-
-
-def eval_equation(params: DioParams, x: int, y: int, z: int) -> int:
-    return eval_lhs(params.a, params.b, params.d1, params.d2, x, y, z)
 
 
 # The square sieve of search_box tests D mod 64 on every (x, y) pair, with a
@@ -336,35 +328,6 @@ def _class_obstructed(
         if not any(flags[r % step :: step]):
             return True
     return False
-
-
-def residue_obstruction(
-    params: DioParams,
-    modulus: int,
-    x_class: tuple[int, int],
-    *,
-    max_modulus: int = DEFAULT_MAX_MODULUS,
-) -> ObstructionCertificate | None:
-    """Certificate that no solution mod `modulus` has x in the class, or
-    None when some tuple solves the congruence (no obstruction there)."""
-    r, c = x_class
-    if modulus < 1:
-        raise ParameterError("modulus must be >= 1")
-    if c < 1 or modulus % c != 0:
-        raise ParameterError(f"class modulus {c} must divide {modulus}")
-    if modulus > max_modulus:
-        raise BudgetExceededError(
-            f"modulus {modulus} exceeds enumeration budget {max_modulus}"
-        )
-    if not _class_obstructed(params, modulus, x_class, {}):
-        return None
-    return ObstructionCertificate(
-        params=params,
-        modulus=modulus,
-        x_class=(r % c, c),
-        exhaustive=True,
-        tuples_checked=(modulus // c) * modulus * modulus,
-    )
 
 
 @dataclass(frozen=True)

@@ -51,11 +51,3 @@ class WeilViolationError(SelliCertError):
     def __init__(self, message: str, value: int | None = None):
         super().__init__(message)
         self.value = value
-
-
-class VerificationError(SelliCertError):
-    """Independent re-check of a certificate found a mismatch."""
-
-    def __init__(self, failures: list[str]):
-        self.failures = list(failures)
-        super().__init__("verification failed: " + "; ".join(failures))

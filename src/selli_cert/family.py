@@ -22,13 +22,13 @@ used plus a comparison block whenever the two diverge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 
-from . import jacobian
 from .arith import factorize, is_prime
 from .errors import HypothesisError, ParameterError
 # perfbench/tracing.py patches discriminant on this module.
-from .polyring import IntPolynomial, Rational, discriminant, rational_roots  # noqa: F401
+from .polyring import IntPolynomial, discriminant, rational_roots  # noqa: F401
 
 __all__ = [
     "FamilyParams",
@@ -43,7 +43,6 @@ __all__ = [
     "y_candidates",
     "fixed_delta_candidates",
     "eliminate_points",
-    "torsion_report",
 ]
 
 CONVENTIONS = ("standard", "paper-ex2")
@@ -292,7 +291,7 @@ def fixed_delta_candidates(delta: int, d2: int, *, budget: int = 10**6) -> list[
 class EliminationRecord:
     y0: int
     reduced_cubic: IntPolynomial
-    rational_x: tuple[Rational, ...]
+    rational_x: tuple[Fraction, ...]
     eliminated: bool
 
 
@@ -328,34 +327,3 @@ def eliminate_points(
             )
         )
     return out
-
-
-def torsion_report(
-    params: FamilyParams,
-    convention: str = "standard",
-    *,
-    genus: "jacobian.GenusSpec | None" = None,
-    prime_bound: int | None = None,
-    infinity_count: int = 1,
-    budget: int = 10**8,
-    threads: int = 1,
-):
-    """Full torsion-triviality pipeline; returns a TorsionCertificate.
-
-    Route 1: if every surviving candidate is eliminated by rational-root
-    search, torsion is trivial by point elimination.  Route 2: otherwise,
-    scan for two good primes with coprime reduced-Jacobian orders.  If
-    neither route lands, the conclusion is INCONCLUSIVE with the surviving
-    points listed; triviality is never claimed without evidence.
-    """
-    from .certificates import build_torsion_certificate
-
-    return build_torsion_certificate(
-        params,
-        convention,
-        genus=genus,
-        prime_bound=prime_bound,
-        infinity_count=infinity_count,
-        budget=budget,
-        threads=threads,
-    )

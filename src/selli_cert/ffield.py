@@ -33,6 +33,7 @@ import numpy as np
 
 from .arith import factorize, is_prime
 from .errors import BudgetExceededError, ParameterError
+from .family import _xcoeff_scale
 from .parallel import chunk_ranges, map_chunks
 
 __all__ = [
@@ -200,8 +201,6 @@ class CurveEquation:
 
     @classmethod
     def from_family(cls, params, convention: str = "standard") -> "CurveEquation":
-        from .family import _xcoeff_scale
-
         coeffs = [0] * (params.d1 + 1)
         coeffs[0] = -(params.m * params.m + params.b)
         coeffs[params.d1] = params.a

@@ -22,14 +22,11 @@ from .arith import divisors
 from .errors import ParameterError
 
 __all__ = [
-    "Rational",
     "IntPolynomial",
     "resultant",
     "discriminant",
     "rational_roots",
 ]
-
-Rational = Fraction
 
 
 @dataclass(frozen=True)
@@ -42,10 +39,6 @@ class IntPolynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         return cls(tuple(cs))
-
-    @classmethod
-    def zero(cls) -> "IntPolynomial":
-        return cls(())
 
     @property
     def is_zero(self) -> bool:
@@ -62,41 +55,14 @@ class IntPolynomial:
             raise ParameterError("zero polynomial has no leading coefficient")
         return self.coefficients[-1]
 
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def evaluate_rational(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial.from_coefficients(
             i * c for i, c in enumerate(self.coefficients) if i > 0
         )
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial.from_coefficients(out)
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coefficients))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if self.is_zero or other.is_zero:
-            return IntPolynomial.zero()
+            return IntPolynomial(())
         a, b = self.coefficients, other.coefficients
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
@@ -169,8 +135,8 @@ def discriminant(f: IntPolynomial) -> int:
 def rational_roots(f: IntPolynomial, *, budget: int = 10**6) -> list[Fraction]:
     """All rational roots of f, exact, sorted ascending.
 
-    Rational root theorem on the primitive part: any root p/q in lowest
-    terms has p | constant term and q | leading coefficient.  Candidates
+    By the rational root theorem on the primitive part, any root p/q in
+    lowest terms has p | constant term and q | leading coefficient.  Candidates
     are confirmed with exact integer arithmetic (clearing denominators),
     never floating point.
     """

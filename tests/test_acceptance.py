@@ -11,7 +11,11 @@ from fractions import Fraction
 
 import pytest
 
-from selli_cert.certificates import build_dio_certificate, canonical_json
+from selli_cert.certificates import (
+    build_dio_certificate,
+    build_torsion_certificate,
+    canonical_json,
+)
 from selli_cert.cli import main as cli_main
 from selli_cert.diophantine import (
     mod4_obstruction,
@@ -20,7 +24,7 @@ from selli_cert.diophantine import (
     search_box,
     validate_dio_params,
 )
-from selli_cert.family import torsion_report, validate_params
+from selli_cert.family import validate_params
 from selli_cert.ffield import CurveEquation, build_count_table, count_points
 from selli_cert.jacobian import (
     GENUS_USER,
@@ -52,7 +56,7 @@ class clocked:
 def test_criterion_01_family_a13():
     with clocked(1.0):
         params = validate_params(13, 1, 3, 10)
-        cert = torsion_report(params, "standard")
+        cert = build_torsion_certificate(params, "standard")
     assert (cert.profile.c3, cert.profile.c0) == (-52, -47473452)
     assert cert.candidate_set.y_max == 5  # box {-5..5}; |y| >= 6 impossible
     assert cert.candidate_set.boundary_y == 6
@@ -66,7 +70,7 @@ def test_criterion_01_family_a13():
 def test_criterion_02_family_a37():
     with clocked(1.0):
         params = validate_params(37, 1, 3, 10)
-        cert = torsion_report(params, "standard")
+        cert = build_torsion_certificate(params, "standard")
     assert (cert.profile.c3, cert.profile.c0) == (-148, -3194933868)
     assert cert.candidate_set.y_max == 8
     assert cert.candidate_set.surviving == (-1, 1)
@@ -77,8 +81,8 @@ def test_criterion_02_family_a37():
 def test_criterion_03_family_a25_conventions():
     with clocked(1.0):
         params = validate_params(25, 2, 3, 14)
-        ex2 = torsion_report(params, "paper-ex2")
-        std = torsion_report(params, "standard")
+        ex2 = build_torsion_certificate(params, "paper-ex2")
+        std = build_torsion_certificate(params, "standard")
     assert (ex2.profile.c3, ex2.profile.c0) == (-100, -681766875)
     assert ex2.candidate_set.y_max == 4
     assert ex2.candidate_set.surviving == (-1, 1)
@@ -274,7 +278,7 @@ def test_acceptance_certificates_reverify(tmp_path):
     from selli_cert.verify import verify_certificate
 
     params = validate_params(13, 1, 3, 10)
-    doc = torsion_report(params).to_dict()
+    doc = build_torsion_certificate(params).to_dict()
     assert verify_certificate(json.loads(canonical_json(doc))) == []
     dio = build_dio_certificate(
         validate_dio_params(13, 3, 2), modulus_bound=48, qr_bound=200

@@ -5,18 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selli_cert.arith import (
-    Valuation,
-    coprime,
     divisors,
     factorize,
     is_prime,
     legendre_symbol,
-    padic_valuation,
     primes_upto,
 )
 from selli_cert.errors import BudgetExceededError, ParameterError
-
-SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 
 
 def test_is_prime_small():
@@ -45,30 +40,6 @@ def test_is_prime_refuses_beyond_proven_range():
 def test_is_prime_negative():
     with pytest.raises(ParameterError):
         is_prime(-7)
-
-
-def test_padic_valuation_known():
-    assert padic_valuation(48, 2) == Valuation(2, 4)
-    assert padic_valuation(48, 3) == Valuation(3, 1)
-    assert padic_valuation(48, 5) == Valuation(5, 0)
-    assert padic_valuation(-48, 2) == Valuation(2, 4)
-
-
-def test_padic_valuation_of_zero_is_infinite():
-    v = padic_valuation(0, 7)
-    assert v.exponent is None
-    assert v.is_infinite
-
-
-@given(
-    st.sampled_from(SMALL_PRIMES),
-    st.integers(min_value=-(10**6), max_value=10**6).filter(lambda n: n != 0),
-    st.integers(min_value=-(10**6), max_value=10**6).filter(lambda n: n != 0),
-)
-def test_valuation_additive_on_products(p, a, b):
-    va = padic_valuation(a, p).exponent
-    vb = padic_valuation(b, p).exponent
-    assert padic_valuation(a * b, p).exponent == va + vb
 
 
 def test_legendre_known_values():
@@ -149,9 +120,3 @@ def test_primes_upto():
     assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert primes_upto(1) == []
     assert primes_upto(2) == [2]
-
-
-def test_coprime():
-    assert coprime(6, 35)
-    assert not coprime(6, 12)
-    assert coprime(1, 0)

@@ -12,7 +12,7 @@ from selli_cert.certificates import (
     canonical_json,
 )
 from selli_cert.diophantine import validate_dio_params
-from selli_cert.family import validate_params
+from selli_cert.family import FamilyParams, validate_params
 from selli_cert.jacobian import GENUS_USER, GenusSpec
 from selli_cert.verify import verify_certificate
 
@@ -120,6 +120,22 @@ def test_torsion_tamper_detected():
     doc = copy.deepcopy(base)
     doc["elimination"][0]["eliminated"] = False
     assert verify_certificate(doc) != []
+    for key, value in (("b", 99), ("d", 4)):
+        doc = copy.deepcopy(base)
+        doc["params"][key] = value
+        assert verify_certificate(doc) == [
+            "params: stored b or d does not match the validated parameters"
+        ], key
+
+
+@pytest.mark.parametrize("a, d1, d2, code", [(14, 3, 10, "H3"), (13, 4, 10, "H1"), (13, 3, 12, "H2")])
+def test_verify_revalidates_family_hypotheses(a, d1, d2, code):
+    # built from raw FamilyParams, so nothing validated them on the way in
+    params = FamilyParams(a=a, m=1, d1=d1, d2=d2, b=2**d1 * a - 3, d=d2 // 2)
+    doc = json.loads(canonical_json(build_torsion_certificate(params).to_dict()))
+    [failure] = verify_certificate(doc)
+    assert failure.startswith("params: invalid (hypothesis violations: ")
+    assert f"{code}: " in failure
 
 
 def _counts(n1):
@@ -203,8 +219,17 @@ def test_coprime_block_must_match_its_scan():
     def record(i, **changes):
         return lambda doc: doc["prime_scan"]["records"][i].update(changes)
 
+    def far_record(doc):
+        doc["prime_scan"]["records"].append(
+            {"p": 10**12, "status": "skipped", "reason": None, "order": None, "counts": None}
+        )
+        doc["prime_scan"]["prime_bound"] = 10**12
+
     cases = [
         (lambda doc: doc["prime_scan"].update(records=[]), "records do not list exactly"),
+        # refused before the sieve: a 10**12 bound would need a 1 TB bytearray
+        (lambda doc: doc["prime_scan"].update(prime_bound=10**12), "prime_scan: records do not"),
+        (far_record, "prime_scan: records do not"),
         (lambda doc: doc["prime_scan"]["records"].pop(1), "records do not list exactly"),
         (lambda doc: doc["prime_scan"].update(prime_bound=6), "within prime_bound"),
         (swap_pair, "p1 = 7, p2 = 5"),

@@ -242,6 +242,25 @@ def test_y_candidates(capsys):
     assert doc["profile"]["c3"] == -148
 
 
+# sha256 of the y-candidates JSON, recorded while the command rendered its
+# candidate list itself instead of through the torsion certificate's helper
+Y_CANDIDATES_SHA256 = {
+    ("37", "1", "10", "standard"): "e94d4aca06061f9ab3825abd0a7f56322d6c371df0cc1b20ba42cf265ea8a434",
+    ("613", "2", "10", "paper-ex2"): "ca9e81c131fac5f97ef16501e3cd83a8553a6071b2be122e542952a2a73021ec",
+}
+
+
+@pytest.mark.parametrize("args", sorted(Y_CANDIDATES_SHA256), ids=lambda t: f"a{t[0]}-{t[3]}")
+def test_y_candidates_bytes_pinned(capsys, args):
+    a, m, d2, convention = args
+    code, stdout, _ = run_cli(
+        capsys, "y-candidates", "--a", a, "--m", m, "--d1", "3", "--d2", d2,
+        "--convention", convention,
+    )
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == Y_CANDIDATES_SHA256[args]
+
+
 def test_fixed_delta_candidates(capsys):
     code, stdout, _ = run_cli(
         capsys, "fixed-delta-candidates", "--delta", "2869", "--d2", "10"

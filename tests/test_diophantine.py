@@ -11,13 +11,11 @@ from selli_cert.diophantine import (
     DioParams,
     Mod4Tables,
     bounded_search,
-    eval_equation,
     eval_lhs,
     mod4_obstruction,
     obstruction_sweep,
     parity_claim_check,
     qr_law_check,
-    residue_obstruction,
     search_box,
     validate_dio_params,
 )
@@ -57,12 +55,6 @@ def test_eval_lhs():
     assert eval_lhs(13, 101, 3, 2, 0, 0, 0) == -101
     assert eval_lhs(13, 101, 3, 2, 2, 0, 0) == 3
     assert eval_lhs(25, 197, 3, 4, 1, 1, 1) == -173
-
-
-def test_eval_equation_uses_params():
-    p = validate_dio_params(13, 3, 2)
-    assert eval_equation(p, 0, 0, 0) == -101
-    assert eval_equation(p, 2, 0, 0) == 3
 
 
 def test_bounded_search_empty_for_all_triples():
@@ -210,27 +202,16 @@ def test_residue_obstruction_mod4():
     # x = 0 mod 2 certifies at modulus 4; x = 1 mod 4 does not
     for a, d1, d2 in PARAM_TRIPLES:
         params = validate_dio_params(a, d1, d2)
-        cert = residue_obstruction(params, 4, (0, 2))
-        assert cert is not None
-        assert cert.exhaustive
-        assert cert.tuples_checked == 2 * 16
-        assert residue_obstruction(params, 4, (1, 4)) is None
+        assert diophantine._class_obstructed(params, 4, (0, 2), {})
+        assert not diophantine._class_obstructed(params, 4, (1, 4), {})
 
 
 def test_residue_obstruction_mod12_known_class():
     # at modulus 12 the only solvable x are 5 and 9; the class 5 mod 12
     # therefore does not certify
     params = validate_dio_params(13, 3, 2)
-    assert residue_obstruction(params, 12, (5, 12)) is None
-    assert residue_obstruction(params, 12, (4, 12)) is not None
-
-
-def test_residue_obstruction_validation():
-    params = validate_dio_params(13, 3, 2)
-    with pytest.raises(ParameterError):
-        residue_obstruction(params, 12, (0, 5))  # 5 does not divide 12
-    with pytest.raises(BudgetExceededError):
-        residue_obstruction(params, 1200, (0, 12))
+    assert not diophantine._class_obstructed(params, 12, (5, 12), {})
+    assert diophantine._class_obstructed(params, 12, (4, 12), {})
 
 
 def test_solvable_x_mod12_oracle():
@@ -267,11 +248,8 @@ def test_sweep_agrees_with_residue_obstruction():
     params = validate_dio_params(13, 3, 2)
     sweep = obstruction_sweep(params, 48)
     for r in range(12):
-        expected = residue_obstruction(params, 12, (r, 12))
-        if sweep.smallest_modulus[r] == 12:
-            assert expected is not None
-        else:
-            assert expected is None
+        obstructed = diophantine._class_obstructed(params, 12, (r, 12), {})
+        assert obstructed == (sweep.smallest_modulus[r] == 12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -280,13 +258,13 @@ def test_solvable_flags_match_bruteforce(triple, modulus):
     a, d1, d2 = triple
     params = validate_dio_params(a, d1, d2)
     for r in range(0, modulus, 7):  # spot-check a spread of classes
-        cert = residue_obstruction(params, modulus, (r, modulus))
+        obstructed = diophantine._class_obstructed(params, modulus, (r, modulus), {})
         brute_solvable = any(
             eval_lhs(params.a, params.b, d1, d2, r, y, z) % modulus == 0
             for y in range(modulus)
             for z in range(modulus)
         )
-        assert (cert is None) == brute_solvable
+        assert obstructed != brute_solvable
 
 
 def _cube_solvable_x(a, b, d1, d2, modulus):
@@ -352,11 +330,8 @@ def test_obstruction_engine_matches_cube_oracle(a, b, d1, d2, bound, data):
     )
     r = data.draw(st.integers(-modulus, modulus), label="r")
     solvable = _cube_solvable_x(a, b, d1, d2, modulus)
-    cert = residue_obstruction(params, modulus, (r, c))
-    assert (cert is None) == any(x % c == r % c for x in solvable)
-    if cert is not None:
-        assert cert.x_class == (r % c, c)
-        assert cert.tuples_checked == (modulus // c) * modulus * modulus
+    obstructed = diophantine._class_obstructed(params, modulus, (r, c), {})
+    assert obstructed != any(x % c == r % c for x in solvable)
 
 
 def test_sweep_pinned_large_minimal_moduli():

@@ -246,10 +246,10 @@ def test_eliminate_points_examples():
 def test_mutation_planted_point_blocks_triviality():
     """A curve carrying a genuine rational point must never be declared
     trivial by elimination.  b = 12 puts (1, 1) on y^10 = 13x^3 + xy - 13."""
-    from selli_cert.family import torsion_report
+    from selli_cert.certificates import build_torsion_certificate
 
     params = FamilyParams(a=13, m=1, d1=3, d2=10, b=12, d=5, b_explicit=True)
-    cert = torsion_report(params)
+    cert = build_torsion_certificate(params)
     assert cert.conclusion != "TRIVIAL_BY_POINT_ELIMINATION"
     by_y0 = {r.y0: r for r in cert.elimination}
     assert 1 in by_y0 and not by_y0[1].eliminated
