@@ -6,9 +6,9 @@ computed-vs-claimed replication evidence verbatim; divergences surface as
 first-class `discrepancies` entries, never silently.
 
 Canonical JSON: sorted keys, arbitrary-precision integers rendered exactly,
-rationals as "p/q" strings, stable across runs and thread counts.  The
-`timing` field is None unless explicitly requested, precisely so default
-output is byte-reproducible.
+rationals as "p/q" strings, stable across runs and thread counts.  Both
+kinds write `"timing": null`: schema selli-cert/1 fixes that key, and no
+wall time is ever recorded, so output is byte-reproducible.
 """
 
 from __future__ import annotations
@@ -86,12 +86,10 @@ class TorsionCertificate:
     elimination: tuple[EliminationRecord, ...]
     conclusion: str
     genus: "jac.GenusSpec | None"
-    infinity_count: int | None
     prime_scan: "jac.PrimeScan | None"
     assumptions: tuple[str, ...]
     discrepancies: tuple[str, ...]
     inconclusive_reason: str | None
-    timing: float | None = None
 
     def to_dict(self) -> dict:
         p = self.params
@@ -140,12 +138,13 @@ class TorsionCertificate:
             "genus": None
             if self.genus is None
             else {"g": self.genus.g, "source": self.genus.source},
-            "infinity_count": self.infinity_count,
+            # the scan counts the one point at infinity of the C_{d1,d2} model
+            "infinity_count": None if self.prime_scan is None else 1,
             "prime_scan": _scan_dict(self.prime_scan),
             "assumptions": sorted(self.assumptions),
             "discrepancies": sorted(self.discrepancies),
             "inconclusive_reason": self.inconclusive_reason,
-            "timing": self.timing,
+            "timing": None,
         }
 
 
@@ -188,13 +187,30 @@ def _scan_dict(scan: "jac.PrimeScan | None") -> dict | None:
     }
 
 
+def convention_evidence(params: FamilyParams, convention: str) -> tuple[dict | None, list[str]]:
+    """The convention_comparison block and the discrepancies it raises.
+
+    With m = 1 the two conventions coincide and there is nothing to compare.
+    Otherwise both profiles are recorded, and a certificate under the
+    standard convention carries their divergence as a discrepancy.
+    """
+    if params.m == 1:
+        return None, []
+    std = discriminant_profile(params, "standard")
+    alt = discriminant_profile(params, "paper-ex2")
+    comparison = {
+        "standard": {"c3": std.c3, "c0": std.c0},
+        "paper-ex2": {"c3": alt.c3, "c0": alt.c0},
+    }
+    return comparison, [DISCREPANCY_CONVENTION] if convention == "standard" else []
+
+
 def build_torsion_certificate(
     params: FamilyParams,
     convention: str = "standard",
     *,
     genus: "jac.GenusSpec | None" = None,
     prime_bound: int | None = None,
-    infinity_count: int = 1,
     budget: int = 10**8,
     threads: int = 1,
 ) -> TorsionCertificate:
@@ -210,23 +226,11 @@ def build_torsion_certificate(
     candidates = y_candidates(profile)
     elimination = tuple(eliminate_points(params, candidates, convention))
 
-    comparison = None
-    discrepancies: list[str] = []
-    if params.m != 1:
-        std = discriminant_profile(params, "standard")
-        alt = discriminant_profile(params, "paper-ex2")
-        comparison = {
-            "standard": {"c3": std.c3, "c0": std.c0},
-            "paper-ex2": {"c3": alt.c3, "c0": alt.c0},
-        }
-        if convention == "standard":
-            discrepancies.append(DISCREPANCY_CONVENTION)
-
+    comparison, discrepancies = convention_evidence(params, convention)
     assumptions = [ASSUMPTION_NL]
     genus_used: "jac.GenusSpec | None" = None
     scan = None
     inconclusive_reason = None
-    infinity_used: int | None = None
 
     if all(r.eliminated for r in elimination):
         conclusion = CONCLUSION_ELIMINATION
@@ -246,13 +250,11 @@ def build_torsion_certificate(
             if genus_used.source == jac.GENUS_USER:
                 assumptions.append(ASSUMPTION_GENUS)
             assumptions.append(ASSUMPTION_INFINITY)
-            infinity_used = infinity_count
             curve = CurveEquation.from_family(params, convention)
             scan = jac.find_certificate_primes(
                 curve,
                 genus_used,
                 prime_bound if prime_bound is not None else DEFAULT_PRIME_BOUND,
-                infinity_count=infinity_count,
                 budget=budget,
                 threads=threads,
             )
@@ -274,7 +276,6 @@ def build_torsion_certificate(
         elimination=elimination,
         conclusion=conclusion,
         genus=genus_used,
-        infinity_count=infinity_used,
         prime_scan=scan,
         assumptions=tuple(assumptions),
         discrepancies=tuple(discrepancies),
@@ -294,7 +295,6 @@ class DioCertificate:
     sweep_certificates: tuple[ObstructionCertificate | None, ...]
     replication: dict
     discrepancies: tuple[str, ...]
-    timing: float | None = None
 
     def to_dict(self) -> dict:
         p = self.params
@@ -329,7 +329,7 @@ class DioCertificate:
             },
             "replication": self.replication,
             "discrepancies": sorted(self.discrepancies),
-            "timing": self.timing,
+            "timing": None,
         }
 
 

@@ -9,11 +9,9 @@ discrepancy, 3 certificate re-verification failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
-import time
 
 from . import diophantine as dio
 from . import jacobian as jac
@@ -25,7 +23,7 @@ from .certificates import (
 )
 from .errors import HypothesisError, SelliCertError
 from .family import CONVENTIONS, discriminant_profile, validate_params, y_candidates
-from .ffield import CurveEquation, build_count_table, count_points
+from .ffield import CurveEquation, PointCountTable, count_points
 from .parallel import resolve_threads
 from .polyring import IntPolynomial, discriminant
 from .verify import verify_certificate
@@ -54,18 +52,14 @@ def _cmd_analyze_curve(args) -> int:
     genus = None
     if args.genus is not None:
         genus = jac.GenusSpec(g=args.genus, source=jac.GENUS_USER)
-    started = time.perf_counter()
     cert = build_torsion_certificate(
         params,
         args.convention,
         genus=genus,
         prime_bound=args.prime_bound,
-        infinity_count=args.infinity_count,
         budget=args.budget,
         threads=resolve_threads(args.threads),
     )
-    if args.timing:
-        cert = dataclasses.replace(cert, timing=time.perf_counter() - started)
     _emit(cert.to_dict(), args.out)
     _say(
         f"conclusion: {cert.conclusion}; survivors {list(cert.candidate_set.surviving)}"
@@ -82,15 +76,12 @@ def _cmd_check_diophantine(args) -> int:
     params = dio.validate_dio_params(
         args.a, args.d1, args.d2, b_mode=args.b_mode, m_prime=args.m_prime
     )
-    started = time.perf_counter()
     cert = build_dio_certificate(
         params,
         box=args.box,
         modulus_bound=args.modulus_bound,
         qr_bound=args.qr_bound,
     )
-    if args.timing:
-        cert = dataclasses.replace(cert, timing=time.perf_counter() - started)
     _emit(cert.to_dict(), args.out)
     _say(
         f"solutions in box {cert.box}: {len(cert.solutions)}; "
@@ -131,11 +122,8 @@ def _cmd_count_points(args) -> int:
 def _cmd_jacobian_order(args) -> int:
     counts = [int(c) for c in args.counts.split(",")]
     genus = jac.GenusSpec(g=args.g, source=jac.GENUS_USER)
-    from .ffield import PointCountTable
-
     table = PointCountTable(
-        entries=tuple((i + 1, n) for i, n in enumerate(counts)),
-        infinity_count=args.infinity_count,
+        entries=tuple((i + 1, n) for i, n in enumerate(counts)), infinity_count=1
     )
     lpoly = jac.l_polynomial_from_counts(args.p, genus, table)
     order = jac.jacobian_order(lpoly)
@@ -236,10 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--convention", choices=CONVENTIONS, default="standard")
     p.add_argument("--genus", type=int, default=None)
     p.add_argument("--prime-bound", type=int, default=None)
-    p.add_argument("--infinity-count", type=int, default=1)
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--budget", type=int, default=10**8)
-    p.add_argument("--timing", action="store_true", help="record wall time (breaks byte reproducibility)")
     add_out(p)
     p.set_defaults(func=_cmd_analyze_curve)
 
@@ -252,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", type=int, default=30)
     p.add_argument("--modulus-bound", type=int, default=360)
     p.add_argument("--qr-bound", type=int, default=10**4)
-    p.add_argument("--timing", action="store_true")
     add_out(p)
     p.set_defaults(func=_cmd_check_diophantine)
 
@@ -270,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--counts", required=True, help="comma-separated N_1..N_g")
-    p.add_argument("--infinity-count", type=int, default=1)
     add_out(p)
     p.set_defaults(func=_cmd_jacobian_order)
 

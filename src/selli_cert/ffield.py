@@ -195,10 +195,6 @@ class CurveEquation:
         if len(self.f_coefficients) < 2 or self.f_coefficients[-1] == 0:
             raise ParameterError("f must be nonconstant with nonzero leading coefficient")
 
-    @property
-    def f_degree(self) -> int:
-        return len(self.f_coefficients) - 1
-
     @classmethod
     def from_family(cls, params, convention: str = "standard") -> "CurveEquation":
         coeffs = [0] * (params.d1 + 1)
@@ -337,7 +333,8 @@ def _eval_f_rows(x: np.ndarray, coeffs: tuple[int, ...], field: ExtField) -> np.
     """Horner evaluation of a base-field-coefficient polynomial at each row."""
     p = field.base.p
     acc = np.zeros_like(x)
-    for c in reversed(coeffs):
+    acc[:, 0] = coeffs[-1] % p
+    for c in reversed(coeffs[:-1]):
         acc = _mul_rows(acc, x, field)
         acc[:, 0] = (acc[:, 0] + c) % p
     return acc
@@ -495,17 +492,12 @@ def build_count_table(
     p: int,
     ks,
     *,
-    infinity_count: int = 1,
     budget: int = DEFAULT_COUNT_BUDGET,
     threads: int = 1,
 ) -> PointCountTable:
-    entries = tuple(
-        count_points(
-            curve, p, k, infinity_count=infinity_count, budget=budget, threads=threads
-        )
-        for k in ks
-    )
-    return PointCountTable(entries=entries, infinity_count=infinity_count)
+    """N_k for each k in ks, each with one point at infinity."""
+    entries = tuple(count_points(curve, p, k, budget=budget, threads=threads) for k in ks)
+    return PointCountTable(entries=entries, infinity_count=1)
 
 
 def is_smooth_mod_p(
@@ -538,14 +530,16 @@ def is_smooth_mod_p(
     if p * p > budget:
         raise BudgetExceededError(f"smoothness scan p^2 = {p*p} exceeds budget {budget}")
     m = curve.m % p
+    field = ExtField(base=curve.p, k=1, modulus=(0, 1))  # F_p: one digit per element
     ys = np.arange(p, dtype=np.int64)
-    yd2 = _pow_scalar(ys, curve.d2, p)
-    yd2m1 = _pow_scalar(ys, curve.d2 - 1, p)
+    yd2m1 = _pow_rows(ys[:, None], curve.d2 - 1, field)
+    yd2 = _mul_rows(yd2m1, ys[:, None], field)[:, 0]
+    yd2m1 = yd2m1[:, 0]
     fprime = tuple((i * c) % p for i, c in enumerate(fc) if i > 0)
     for lo, hi in chunk_ranges(p, 4096):
         xs = np.arange(lo, hi, dtype=np.int64)
-        fx = _eval_scalar(xs, fc, p)
-        fpx = _eval_scalar(xs, fprime, p) if fprime else np.zeros_like(xs)
+        fx = _eval_f_rows(xs[:, None], fc, field)[:, 0]
+        fpx = _eval_f_rows(xs[:, None], fprime, field)[:, 0]
         mx = (m * xs) % p
         # F, F_x, F_y on the (x-chunk, y) grid
         f_grid = (yd2[None, :] - mx[:, None] * ys[None, :] - fx[:, None]) % p
@@ -562,20 +556,3 @@ def is_smooth_mod_p(
             )
     return SmoothnessResult(smooth=True, witness=None, guard_ok=True, reason=None)
 
-
-def _pow_scalar(v: np.ndarray, e: int, p: int) -> np.ndarray:
-    result = np.ones_like(v)
-    base = v % p
-    while e:
-        if e & 1:
-            result = (result * base) % p
-        base = (base * base) % p
-        e >>= 1
-    return result
-
-
-def _eval_scalar(x: np.ndarray, coeffs, p: int) -> np.ndarray:
-    acc = np.zeros_like(x)
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc

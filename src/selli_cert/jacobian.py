@@ -212,12 +212,13 @@ def find_certificate_primes(
     genus: GenusSpec,
     prime_bound: int,
     *,
-    infinity_count: int = 1,
     budget: int = DEFAULT_COUNT_BUDGET,
     threads: int = 1,
 ) -> PrimeScan:
     """Deterministic scan for two good primes with coprime Jacobian orders.
 
+    Each N_k counts the one point at infinity of the C_{d1,d2} model
+    (gcd(d1, d2) = 1 under H1-H2); certificates tag this INFINITY-MODEL.
     Primes failing the characteristic guard or the smoothness test are
     skipped with a recorded reason, as are primes whose enumeration exceeds
     the budget.  Among computed orders, the first pair (p1, p2) in
@@ -239,12 +240,7 @@ def find_certificate_primes(
             continue
         try:
             counts = build_count_table(
-                curve,
-                p,
-                range(1, genus.g + 1),
-                infinity_count=infinity_count,
-                budget=budget,
-                threads=threads,
+                curve, p, range(1, genus.g + 1), budget=budget, threads=threads
             )
         except BudgetExceededError as exc:
             records.append(

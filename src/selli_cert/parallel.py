@@ -8,27 +8,18 @@ bitwise identical for any number of threads.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 __all__ = ["resolve_threads", "map_chunks", "chunk_ranges"]
 
-_ENV_VAR = "SELLI_CERT_THREADS"
-
 
 def resolve_threads(requested: int | None) -> int:
-    """Explicit value wins; else the SELLI_CERT_THREADS env var; else 1."""
-    if requested is not None:
-        if requested < 1:
-            raise ValueError("thread count must be >= 1")
-        return requested
-    env = os.environ.get(_ENV_VAR)
-    if env:
-        n = int(env)
-        if n < 1:
-            raise ValueError(f"{_ENV_VAR} must be >= 1")
-        return n
-    return 1
+    """The requested thread count, 1 when none is given."""
+    if requested is None:
+        return 1
+    if requested < 1:
+        raise ValueError("thread count must be >= 1")
+    return requested
 
 
 def chunk_ranges(total: int, chunk_size: int = 4096) -> list[tuple[int, int]]:

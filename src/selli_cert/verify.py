@@ -4,16 +4,21 @@ Works from the certificate's stated inputs alone: parameters are
 revalidated against the hypotheses the emitting tool enforces (H1-H5 for
 the curve family, D1-D5 for the Diophantine equation) and the stored
 derived values must match the validated ones; the discriminant profile,
-candidate divisibility, growth boundary, elimination polynomials and their
-rational roots are recomputed, Jacobian orders are rebuilt from the stored
-point counts through the full L-polynomial reconstruction (functional
-equation and Weil bounds included), and obstruction tables are
-re-enumerated.  A coprime-order pair must be two odd primes p1 < p2 whose
-ok records it repeats, in a scan that lists every prime up to its bound,
-under a genus that matches its stated source; a bound too large for the
-number of records fails before any sieve runs.  Any mismatch, or a missing
-or mistyped field, is reported as a failure naming the offending block; an
-empty failure list means the certificate re-verifies.
+the convention comparison and its discrepancies, candidate divisibility,
+growth boundary, elimination polynomials and their rational roots are
+recomputed, Jacobian orders are rebuilt from the stored point counts
+through the full L-polynomial reconstruction (functional equation and Weil
+bounds included), and obstruction tables are re-enumerated for the twelve
+classes r = 0..11, listed once each in order.  The conclusion must be one
+of the three the tool emits.  A coprime-order pair must be two odd primes
+p1 < p2 whose ok records it repeats, in a scan that lists every prime up to
+its bound, under a genus that matches its stated source; every count adds
+the one point at infinity of the C_{d1,d2} model.  Work stays bounded by
+the document: a candidate box whose length is not 2*y_max, or a prime
+bound too large for the number of records, fails before anything is
+enumerated.  Any mismatch, or a missing or mistyped field, is reported as
+a failure naming the offending block; an empty failure list means the
+certificate re-verifies.
 
 Deliberately not re-run: the raw field enumerations behind stored point
 counts (that is the emitting tool's work; the stored counts are instead
@@ -29,10 +34,12 @@ from .arith import is_prime, primes_upto
 from .certificates import (
     CONCLUSION_COPRIME,
     CONCLUSION_ELIMINATION,
+    CONCLUSION_INCONCLUSIVE,
     DIO_KIND,
     SCHEMA,
     TORSION_KIND,
     build_dio_certificate,
+    convention_evidence,
 )
 # The search and the sweep run once per certificate, inside
 # build_dio_certificate.  Their names stay bound here because
@@ -122,11 +129,18 @@ def _verify_torsion(doc: dict) -> list[str]:
             failures.append("boundary: growth witness does not re-check")
 
         block = "candidates"
+        records = doc["candidates"]
+        # the length check comes first: y_max follows from the parameters,
+        # not from the document's size, and may be near 2^55
+        if len(records) != 2 * ymax or [rec["y"] for rec in records] != [
+            *range(-ymax, 0),
+            *range(1, ymax + 1),
+        ]:
+            failures.append("candidates: box does not list 0 < |y| <= y_max in order")
+            records = []
         surviving = []
-        seen_y = set()
-        for rec in doc["candidates"]:
+        for rec in records:
             y = rec["y"]
-            seen_y.add(y)
             value = delta_of_y(profile, y)
             if rec["delta"] != value:
                 failures.append(f"candidates: delta({y}) stored {rec['delta']}, recomputed {value}")
@@ -137,9 +151,6 @@ def _verify_torsion(doc: dict) -> list[str]:
                 failures.append(f"candidates: divisibility flag wrong at y = {y}")
             if passes:
                 surviving.append(y)
-        expected_y = {y for y in range(-ymax, ymax + 1) if y != 0}
-        if seen_y != expected_y:
-            failures.append("candidates: box does not cover exactly 0 < |y| <= y_max")
 
         block = "surviving"
         if sorted(doc["surviving"]) != sorted(surviving):
@@ -168,6 +179,17 @@ def _verify_torsion(doc: dict) -> list[str]:
         if ASSUMPTION_NL not in doc["assumptions"]:
             failures.append("assumptions: missing the Nagell-Lutz-type assumption tag")
 
+        block = "convention_comparison"
+        comparison, discrepancies = convention_evidence(params, convention)
+        if doc["convention_comparison"] != comparison:
+            failures.append("convention_comparison: stored profiles do not recompute")
+        block = "discrepancies"
+        if doc["discrepancies"] != discrepancies:
+            failures.append(f"discrepancies: stored {doc['discrepancies']}, recomputed {discrepancies}")
+
+        block = "infinity_count"
+        failures.extend(_verify_infinity_counts(doc))
+
         block = "conclusion"
         conclusion = doc["conclusion"]
         if conclusion == CONCLUSION_ELIMINATION:
@@ -176,10 +198,31 @@ def _verify_torsion(doc: dict) -> list[str]:
         elif conclusion == CONCLUSION_COPRIME:
             block = "prime_scan"
             failures.extend(_verify_coprime_block(doc, params))
+        elif conclusion != CONCLUSION_INCONCLUSIVE:
+            failures.append(f"conclusion: unknown conclusion {conclusion!r}")
     except _MALFORMED as exc:
         failures.append(f"{block}: malformed ({type(exc).__name__}: {exc})")
     except SelliCertError as exc:
         failures.append(f"{block}: cannot recompute ({exc})")
+    return failures
+
+
+def _verify_infinity_counts(doc: dict) -> list[str]:
+    """Every count must add the one point at infinity of the C_{d1,d2} model.
+
+    The top-level infinity_count is null (no prime scan ran) or 1, and so
+    is every point-count table in the scan.
+    """
+    scan = doc["prime_scan"]
+    failures = []
+    if doc["infinity_count"] not in (None, 1):
+        failures.append(f"infinity_count: stored {doc['infinity_count']!r}, expected null or 1")
+    if scan is not None:
+        tables = [r["counts"] for r in scan["records"]]
+        if scan["certificate"] is not None:
+            tables += [scan["certificate"]["counts1"], scan["certificate"]["counts2"]]
+        if any(t is not None and t["infinity_count"] != 1 for t in tables):
+            failures.append("prime_scan: a count table does not count one point at infinity")
     return failures
 
 
@@ -245,8 +288,7 @@ def _verify_coprime_block(doc: dict, params: FamilyParams) -> list[str]:
             failures.append(f"certificate_primes: missing counts for p{label}")
             continue
         table = PointCountTable(
-            entries=tuple((k, n) for k, n in counts_doc["entries"]),
-            infinity_count=counts_doc["infinity_count"],
+            entries=tuple((k, n) for k, n in counts_doc["entries"]), infinity_count=1
         )
         try:
             lpoly = jac.l_polynomial_from_counts(p, genus, table)
@@ -304,7 +346,11 @@ def _verify_dio(doc: dict) -> list[str]:
             failures.append("search: bounded search does not reproduce stored solutions")
 
         block = "obstructions"
-        for entry in obstructions["classes"]:
+        classes = obstructions["classes"]
+        if [entry["r"] for entry in classes] != list(range(12)):
+            failures.append("obstructions: classes do not list r = 0..11 once each, in order")
+            classes = []
+        for entry in classes:
             r = entry["r"]
             smallest = reference.sweep_smallest[r]
             if smallest != entry["smallest_modulus"]:

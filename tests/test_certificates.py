@@ -1,5 +1,7 @@
 import copy
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -24,7 +26,7 @@ def torsion_doc(a=13, m=1, d1=3, d2=10, convention="standard", **kw):
 
 
 def default_build_kw():
-    return dict(genus=None, prime_bound=None, infinity_count=1, budget=10**8, threads=1)
+    return dict(genus=None, prime_bound=None, budget=10**8, threads=1)
 
 
 def test_canonical_json_stable():
@@ -90,7 +92,6 @@ def test_torsion_scan_round_trip_verifies():
         "paper-ex2",
         genus=GenusSpec(g=7, source=GENUS_USER),
         prime_bound=30,
-        infinity_count=1,
         budget=10**6,
         threads=1,
     )
@@ -126,6 +127,95 @@ def test_torsion_tamper_detected():
         assert verify_certificate(doc) == [
             "params: stored b or d does not match the validated parameters"
         ], key
+
+
+def test_torsion_conclusion_and_convention_blocks_recomputed():
+    base = torsion_doc(a=25, m=2, d1=3, d2=14, **default_build_kw())  # standard, m != 1
+    assert verify_certificate(base) == []
+    cases = [
+        (
+            lambda doc: doc.update(conclusion="TRIVIAL_BY_MAGIC"),
+            "conclusion: unknown conclusion 'TRIVIAL_BY_MAGIC'",
+        ),
+        (
+            lambda doc: doc.update(discrepancies=[]),
+            "discrepancies: stored [], recomputed ['xcoeff-convention-divergence']",
+        ),
+        (
+            lambda doc: doc["convention_comparison"]["paper-ex2"].update(c3=-99),
+            "convention_comparison: stored profiles do not recompute",
+        ),
+        (
+            lambda doc: doc.update(convention_comparison=None),
+            "convention_comparison: stored profiles do not recompute",
+        ),
+    ]
+    for edit, message in cases:
+        doc = copy.deepcopy(base)
+        edit(doc)
+        assert verify_certificate(doc) == [message], message
+    # m = 1: the conventions coincide, so there is nothing to flag
+    doc = torsion_doc(**default_build_kw())
+    doc["discrepancies"] = ["xcoeff-convention-divergence"]
+    assert verify_certificate(doc) == [
+        "discrepancies: stored ['xcoeff-convention-divergence'], recomputed []"
+    ]
+
+
+def test_verify_box_check_is_bounded_by_the_document(tmp_path):
+    # (13, 1, 21, 26) passes H1..H5 and has y_max = 2735928361: a verifier
+    # that enumerated that box would need tens of GB, so the check runs in a
+    # child process under a 2 GiB address-space cap
+    doc = torsion_doc(**default_build_kw())
+    params = validate_params(13, 1, 21, 26)
+    doc["params"].update(d1=21, d2=26, b=params.b, d=params.d)
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(doc))
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 * 1024**3, resource.RLIM_INFINITY))\n"
+        "from selli_cert.cli import main\n"
+        "sys.exit(main(['verify', sys.argv[1]]))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(path)], capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 3, run.stderr
+    assert "FAIL y_max: stored 5, recomputed 2735928361" in run.stderr
+    assert "FAIL candidates: box does not list 0 < |y| <= y_max in order" in run.stderr
+
+
+def test_infinity_counts_are_one_point():
+    scan_doc = build_torsion_certificate(
+        validate_params(613, 2, 3, 10),
+        "paper-ex2",
+        genus=GenusSpec(g=3, source=GENUS_USER),
+        prime_bound=12,
+        budget=10**7,
+    ).to_dict()
+    assert (scan_doc["conclusion"], scan_doc["infinity_count"]) == (CONCLUSION_COPRIME, 1)
+    ok_index = next(i for i, r in enumerate(scan_doc["prime_scan"]["records"]) if r["counts"])
+    elimination_doc = torsion_doc(**default_build_kw())
+    assert elimination_doc["infinity_count"] is None
+    cases = [
+        (scan_doc, lambda doc: doc.update(infinity_count=2), "infinity_count: stored 2"),
+        (elimination_doc, lambda doc: doc.update(infinity_count=0), "infinity_count: stored 0"),
+        (
+            scan_doc,
+            lambda doc: doc["prime_scan"]["records"][ok_index]["counts"].update(infinity_count=0),
+            "prime_scan: a count table does not count one point at infinity",
+        ),
+        (
+            scan_doc,
+            lambda doc: doc["prime_scan"]["certificate"]["counts1"].update(infinity_count=2),
+            "prime_scan: a count table does not count one point at infinity",
+        ),
+    ]
+    for base, edit, message in cases:
+        doc = copy.deepcopy(base)
+        assert verify_certificate(doc) == []
+        edit(doc)
+        assert message in " | ".join(verify_certificate(doc)), message
 
 
 @pytest.mark.parametrize("a, d1, d2, code", [(14, 3, 10, "H3"), (13, 4, 10, "H1"), (13, 3, 12, "H2")])
@@ -309,6 +399,26 @@ def test_dio_tamper_detected():
     assert verify_certificate(doc) != []
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        list.clear,
+        list.pop,
+        lambda classes: classes.append(dict(classes[0])),
+        lambda classes: classes.__setitem__(11, dict(classes[0])),
+        list.reverse,
+    ],
+    ids=["empty", "truncated", "extra-duplicate", "duplicate", "reordered"],
+)
+def test_dio_classes_listed_once_in_order(edit):
+    params = validate_dio_params(13, 3, 2)
+    doc = build_dio_certificate(params, modulus_bound=48, qr_bound=200).to_dict()
+    edit(doc["obstructions"]["classes"])
+    assert verify_certificate(doc) == [
+        "obstructions: classes do not list r = 0..11 once each, in order"
+    ]
+
+
 def test_dio_verify_recomputes_once(monkeypatch):
     from selli_cert import certificates, diophantine, verify
 
@@ -348,7 +458,6 @@ def test_byte_identical_across_threads():
                 "standard",
                 genus=None,
                 prime_bound=None,
-                infinity_count=1,
                 budget=10**8,
                 threads=t,
             ).to_dict()

@@ -112,14 +112,13 @@ def test_check_diophantine_bytes_pinned(capsys, tmp_path, args):
 
 def test_main_calls_do_not_share_parsed_values(capsys, tmp_path):
     # main() reuses one parser; each call must still see only its own flags
-    timed, plain = tmp_path / "timed.json", tmp_path / "plain.json"
+    first, plain = tmp_path / "first.json", tmp_path / "plain.json"
     code, _, _ = run_cli(
         capsys,
         "check-diophantine", "--a", "13", "--d1", "3", "--d2", "2", "--box", "5",
-        "--modulus-bound", "24", "--qr-bound", "50", "--timing", "--out", str(timed),
+        "--modulus-bound", "24", "--qr-bound", "50", "--out", str(first),
     )
     assert code == 2
-    assert json.loads(timed.read_text())["timing"] > 0
     code, _, _ = run_cli(
         capsys, "check-diophantine", "--a", "25", "--d1", "3", "--d2", "4",
         "--out", str(plain),
@@ -384,32 +383,23 @@ def test_verify_rejects_forged_coprime_block(capsys, tmp_path):
         assert message in stderr, message
 
 
-def test_threads_env_fallback(capsys, tmp_path, monkeypatch):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    run_cli(
-        capsys,
-        "analyze-curve", "--a", "13", "--m", "1", "--d1", "3", "--d2", "10",
-        "--threads", "1", "--out", str(a),
-    )
-    monkeypatch.setenv("SELLI_CERT_THREADS", "8")
-    run_cli(
-        capsys,
-        "analyze-curve", "--a", "13", "--m", "1", "--d1", "3", "--d2", "10",
-        "--out", str(b),
-    )
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_timing_flag_populates_field(capsys):
-    code, stdout, _ = run_cli(
-        capsys,
-        "analyze-curve", "--a", "13", "--m", "1", "--d1", "3", "--d2", "10",
-        "--timing",
-    )
-    assert code == 0
-    doc = json.loads(stdout)
-    assert isinstance(doc["timing"], float) and doc["timing"] > 0
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze-curve", "--a", "13", "--m", "1", "--d1", "3", "--d2", "10", "--timing"),
+        ("check-diophantine", "--a", "13", "--d1", "3", "--d2", "2", "--timing"),
+        ("analyze-curve", "--a", "13", "--m", "1", "--d1", "3", "--d2", "10",
+         "--infinity-count", "1"),
+        ("jacobian-order", "--p", "11", "--g", "2", "--counts", "19,135",
+         "--infinity-count", "1"),
+    ],
+    ids=["analyze-timing", "dio-timing", "analyze-infinity", "jacobian-infinity"],
+)
+def test_removed_options_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_subprocess_entry_point(tmp_path):
