@@ -17,7 +17,6 @@ __all__ = [
     "legendre_symbol",
     "is_prime",
     "factorize",
-    "divisors",
     "primes_upto",
 ]
 
@@ -105,16 +104,6 @@ def factorize(n: int, *, budget: int = 10**6) -> dict[int, int]:
                 f"composite cofactor {n} resists trial division up to {budget}"
             )
     return out
-
-
-def divisors(n: int, *, budget: int = 10**6) -> list[int]:
-    """Sorted positive divisors of |n|, n != 0."""
-    if n == 0:
-        raise ParameterError("0 has no finite divisor list")
-    out = [1]
-    for p, e in factorize(n, budget=budget).items():
-        out = [d * p**i for d in out for i in range(e + 1)]
-    return sorted(out)
 
 
 def primes_upto(n: int) -> list[int]:

@@ -28,7 +28,7 @@ from .diophantine import (
     parity_claim_check,
     qr_law_check,
 )
-from .errors import ParameterError
+from .errors import BudgetExceededError, ParameterError
 from .family import (
     ASSUMPTION_GENUS,
     ASSUMPTION_INFINITY,
@@ -39,6 +39,7 @@ from .family import (
     FamilyParams,
     discriminant_profile,
     eliminate_points,
+    y_bound,
     y_candidates,
 )
 from .ffield import CurveEquation, PointCountTable
@@ -220,9 +221,15 @@ def build_torsion_certificate(
     runs only when elimination leaves survivors; it needs a genus, which
     the curve's mixed x*y term prevents deriving by formula, so for m != 0
     the caller must supply one (tagged GENUS-USER) or the outcome is
-    honestly INCONCLUSIVE.
+    honestly INCONCLUSIVE.  `budget` caps the 2*y_max candidate box, which
+    is refused before it is enumerated, and each point count of the scan.
     """
     profile = discriminant_profile(params, convention)
+    box = 2 * y_bound(profile)
+    if box > budget:
+        raise BudgetExceededError(
+            f"candidate box of {box} values of y exceeds the budget {budget}"
+        )
     candidates = y_candidates(profile)
     elimination = tuple(eliminate_points(params, candidates, convention))
 

@@ -1,5 +1,5 @@
-"""Dense integer polynomials with exact resultants, discriminants, and
-rational root extraction.
+"""Dense integer polynomials with exact resultants, discriminants and
+rational roots.
 
 Coefficients are stored in ascending order (index i holds the coefficient
 of x^i) and trailing zeros are stripped, so the leading coefficient of a
@@ -11,6 +11,8 @@ The resultant follows the convention
 
 computed exactly as the determinant of the Sylvester matrix by Bareiss
 fraction-free elimination (no floating point, no modular reconstruction).
+Rational roots come from integer bisection on the monotone pieces of a
+monic associate, so no coefficient is ever factored.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import divisors
 from .errors import ParameterError
 
 __all__ = [
@@ -132,40 +133,49 @@ def discriminant(f: IntPolynomial) -> int:
     return q
 
 
-def rational_roots(f: IntPolynomial, *, budget: int = 10**6) -> list[Fraction]:
-    """All rational roots of f, exact, sorted ascending.
+def _eval(cs: list[int], t: int) -> int:
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * t + c
+    return acc
 
-    By the rational root theorem on the primitive part, any root p/q in
-    lowest terms has p | constant term and q | leading coefficient.  Candidates
-    are confirmed with exact integer arithmetic (clearing denominators),
-    never floating point.
+
+def _root_floors(h: list[int]) -> list[int]:
+    """Sorted integers that include floor(r) for every real root r of h.
+
+    Fujiwara's bound 2*max|h_i/h_n|^(1/(n-i)), rounded up to a power of
+    two, holds every root of h and, by Gauss-Lucas, of each derivative.
+    Between consecutive root floors of h', h is strictly monotone on the
+    integers, so bisection on its sign finds the one root it may have there.
+    """
+    n = len(h) - 1
+    if n < 1:
+        return []
+    top = abs(h[n]).bit_length() - 1
+    bits = max(-((top - abs(c).bit_length()) // (n - i)) for i, c in enumerate(h[:n]))
+    bound = 2 << max(bits, 0)
+    crit = _root_floors([i * c for i, c in enumerate(h)][1:])
+    found = set(crit)
+    for lo, hi in zip([-bound] + [c + 1 for c in crit], crit + [bound]):
+        s = _eval(h, lo)
+        if s * _eval(h, hi) > 0:
+            continue
+        while hi - lo > 1:  # s*h(lo) >= 0 >= s*h(hi)
+            mid = (lo + hi) // 2
+            if s * _eval(h, mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        found.add(hi if _eval(h, hi) == 0 else lo)
+    return sorted(found)
+
+
+def rational_roots(f: IntPolynomial) -> list[Fraction]:
+    """All rational roots of f, exact, sorted ascending: the t/a, a = lc(f),
+    for the integer roots t of the monic g(t) = a^(n-1)*f(t/a), n = deg f.
     """
     if f.is_zero:
         raise ParameterError("every rational is a root of the zero polynomial")
-    coeffs = list(f.coefficients)
-    roots: set[Fraction] = set()
-    # strip powers of x: x = 0 is a root iff the constant term vanishes
-    shift = 0
-    while coeffs[shift] == 0:
-        shift += 1
-    if shift:
-        roots.add(Fraction(0))
-        coeffs = coeffs[shift:]
-    if len(coeffs) > 1:
-        const, lead = coeffs[0], coeffs[-1]
-        deg = len(coeffs) - 1
-        for p in divisors(const, budget=budget):
-            for q in divisors(lead, budget=budget):
-                cand = Fraction(p, q)
-                if cand.numerator != p:  # not in lowest terms, seen already
-                    continue
-                for num in (p, -p):
-                    # exact check: sum a_i num^i q^(deg-i) == 0
-                    acc = 0
-                    power = 1
-                    for i, a in enumerate(coeffs):
-                        acc += a * power * q ** (deg - i)
-                        power *= num
-                    if acc == 0:
-                        roots.add(Fraction(num, q))
-    return sorted(roots)
+    a, n = f.leading_coefficient, f.degree
+    g = [c * a ** (n - 1 - i) for i, c in enumerate(f.coefficients[:-1])] + [1]
+    return sorted(Fraction(t, a) for t in _root_floors(g) if _eval(g, t) == 0)

@@ -16,9 +16,10 @@ its bound, under a genus that matches its stated source; every count adds
 the one point at infinity of the C_{d1,d2} model.  Work stays bounded by
 the document: a candidate box whose length is not 2*y_max, or a prime
 bound too large for the number of records, fails before anything is
-enumerated.  Any mismatch, or a missing or mistyped field, is reported as
-a failure naming the offending block; an empty failure list means the
-certificate re-verifies.
+enumerated, and elimination records that do not cover exactly the
+recomputed survivors fail before any polynomial is solved.  Any mismatch,
+or a missing or mistyped field, is reported as a failure naming the
+offending block; an empty failure list means the certificate re-verifies.
 
 Deliberately not re-run: the raw field enumerations behind stored point
 counts (that is the emitting tool's work; the stored counts are instead
@@ -157,11 +158,14 @@ def _verify_torsion(doc: dict) -> list[str]:
             failures.append("surviving: stored list does not match recomputed survivors")
 
         block = "elimination"
-        elim_y0 = []
+        elimination = doc["elimination"]
         all_eliminated = True
-        for rec in doc["elimination"]:
+        # coverage comes first, so no record outside the survivors is solved
+        if sorted(rec["y0"] for rec in elimination) != sorted(surviving):
+            failures.append("elimination: records do not cover exactly the survivors")
+            elimination = []
+        for rec in elimination:
             y0 = rec["y0"]
-            elim_y0.append(y0)
             poly = elimination_polynomial(params, y0, convention)
             if list(poly.coefficients) != rec["cubic"]:
                 failures.append(f"elimination: polynomial at y0 = {y0} does not recompute")
@@ -172,8 +176,6 @@ def _verify_torsion(doc: dict) -> list[str]:
             if rec["eliminated"] != (not roots):
                 failures.append(f"elimination: eliminated flag wrong at y0 = {y0}")
             all_eliminated = all_eliminated and not roots
-        if sorted(elim_y0) != sorted(doc["surviving"]):
-            failures.append("elimination: records do not cover exactly the survivors")
 
         block = "assumptions"
         if ASSUMPTION_NL not in doc["assumptions"]:

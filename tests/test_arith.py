@@ -1,11 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from selli_cert.arith import (
-    divisors,
     factorize,
     is_prime,
     legendre_symbol,
@@ -100,20 +99,6 @@ def test_factorize_budget():
 def test_factorize_large_prime_cofactor_ok():
     # cofactor above budget but provably prime, so no refusal
     assert factorize(2 * 1000000007, budget=1000) == {2: 1, 1000000007: 1}
-
-
-def test_divisors_known():
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(1) == [1]
-    assert divisors(49) == [1, 7, 49]
-
-
-@settings(max_examples=60)
-@given(st.integers(min_value=1, max_value=10**4))
-def test_divisor_count_parity_matches_squareness(n):
-    count = len(divisors(n))
-    root = math.isqrt(n)
-    assert (count % 2 == 1) == (root * root == n)
 
 
 def test_primes_upto():

@@ -4,8 +4,9 @@ perfbench/workloads.py sizes its jobs with `family`, `ffield`, `arith` and
 `errors` names, perfbench/tracing.py wraps named functions of several
 modules, and perfbench/run.py drives `cli.main` with the flags of each
 generated job plus `--out`, then `verify`.  Generating every workload and
-running its first job end to end fails here, instead of in a benchmark
-run, when one of those names or flags goes missing or an answer changes.
+running its first job end to end, untraced and traced, fails here instead
+of in a benchmark run when one of those names or flags goes missing, an
+answer changes, or a traced metric can no longer be read.
 """
 
 import importlib
@@ -46,6 +47,26 @@ def test_first_job_matches_reference(bench, workload, tmp_path, capsys):
     got = oracle.answer(json.loads(out.read_text()))
     assert (rc, got) == (want["exit"], want["answer"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_first_job_reports_every_layer_metric(bench, workload, tmp_path, capsys):
+    workloads, oracle, tracing = bench
+    job = workloads.generate(workload, oracle.REFERENCE_SEED)[0][0]
+    out = tmp_path / "cert.json"
+    recorder = tracing.Recorder()
+    with tracing.installed(recorder):
+        rc = cli.main([*job.argv, "--out", str(out)])
+        rv = cli.main(["verify", str(out)])
+    assert rc in workloads.ALLOWED_EXITS
+    assert rv == 0
+    assert recorder.absent == {}
+    values, absent = tracing.layer_metrics(recorder)
+    assert absent == {}
+    assert set(values) == set(tracing.LAYER_METRICS)
+    # the benchmark reads its result from the last line of stdout, so a run
+    # that writes its certificate to --out must print nothing there
+    assert capsys.readouterr().out == ""
 
 
 def test_traced_names_exist(bench):

@@ -2,6 +2,7 @@ import copy
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -14,7 +15,8 @@ from selli_cert.certificates import (
     canonical_json,
 )
 from selli_cert.diophantine import validate_dio_params
-from selli_cert.family import FamilyParams, validate_params
+from selli_cert import verify
+from selli_cert.family import FamilyParams, elimination_polynomial, validate_params
 from selli_cert.jacobian import GENUS_USER, GenusSpec
 from selli_cert.verify import verify_certificate
 
@@ -183,6 +185,23 @@ def test_verify_box_check_is_bounded_by_the_document(tmp_path):
     assert run.returncode == 3, run.stderr
     assert "FAIL y_max: stored 5, recomputed 2735928361" in run.stderr
     assert "FAIL candidates: box does not list 0 < |y| <= y_max in order" in run.stderr
+
+
+def test_verify_checks_coverage_before_solving_records(monkeypatch):
+    # a self-consistent record for a y0 that is not a survivor must fail the
+    # coverage check without its polynomial being solved
+    doc = torsion_doc(**default_build_kw())
+    y0 = 10**200 + 1
+    poly = elimination_polynomial(validate_params(13, 1, 3, 10), y0)
+    doc["elimination"].append(
+        {"y0": y0, "cubic": list(poly.coefficients), "rational_x": [], "eliminated": True}
+    )
+    solved = []
+    monkeypatch.setattr(verify, "rational_roots", lambda f: solved.append(f) or [])
+    start = time.perf_counter()
+    assert verify_certificate(doc) == ["elimination: records do not cover exactly the survivors"]
+    assert time.perf_counter() - start < 1
+    assert solved == []
 
 
 def test_infinity_counts_are_one_point():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -193,6 +194,31 @@ def test_analyze_curve_standard_bytes_pinned(capsys, tmp_path, args):
     )
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert (code, digest) == STANDARD_CERT_SHA256[args]
+
+
+# Each member has a survivor whose constant term m^2 + b + y0^d2 keeps a
+# composite cofactor that trial division up to 10^6 does not split
+# (702553568781511, 35471460477197232931); finding roots must not factor it
+@pytest.mark.parametrize("a, m, d1, d2", [("25", "3", "15", "26"), ("361", "0", "9", "14")])
+def test_elimination_does_not_factor_the_constant_term(capsys, tmp_path, a, m, d1, d2):
+    out = tmp_path / "torsion.json"
+    code, _, stderr = run_cli(
+        capsys, "analyze-curve", "--a", a, "--m", m, "--d1", d1, "--d2", d2, "--out", str(out)
+    )
+    assert code == 2  # eliminated, with the standard convention's divergence flag
+    assert "conclusion: TRIVIAL_BY_POINT_ELIMINATION" in stderr
+    assert run_cli(capsys, "verify", str(out))[0] == 0
+
+
+def test_y_box_over_budget_refused_before_enumeration(capsys):
+    # (13, 1, 21, 26) passes H1..H5 and has y_max = 2735928361
+    start = time.perf_counter()
+    code, stdout, stderr = run_cli(
+        capsys, "analyze-curve", "--a", "13", "--m", "1", "--d1", "21", "--d2", "26"
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, stdout) == (1, "")
+    assert "candidate box of 5471856722 values of y exceeds the budget 100000000" in stderr
 
 
 def test_count_points(capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -170,3 +171,51 @@ def test_rational_roots_finds_planted_roots(pairs):
     assert found == sorted(expected)
     for r in found:
         assert sum(c * r**i for i, c in enumerate(f.coefficients)) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([3, 9, 15, 21]),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=-9, max_value=9).filter(bool),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.data(),
+)
+def test_rational_roots_trinomial_planted_root(n, v, w, c, data):
+    # a*x^n + c*v*x - K has the root u/v when a = w*v^n and K = w*u^n + c*u;
+    # |u| <= 10^(50/n) keeps |K| below 10^50
+    u_max = 10 ** (50 // n)
+    u = data.draw(st.integers(-u_max, u_max).filter(lambda u: gcd(u, v) == 1))
+    f = P(-(w * u**n + c * u), c * v, *[0] * (n - 2), w * v**n)
+    found = rational_roots(f)
+    assert Fraction(u, v) in found
+    assert found == sorted(set(found))
+    for r in found:
+        assert sum(k * r**i for i, k in enumerate(f.coefficients)) == 0
+
+
+def test_rational_roots_keep_the_derivatives_root_floors():
+    # (x+4)(x+5)(x+6)(x^3 + 4x^2 - 5x + 10): a finder that dropped the root
+    # floors of f', f'', ... from the floors it returns misses all three roots
+    f = P(1200, 140, 260, 351, 129, 19, 1)
+    assert rational_roots(f) == [Fraction(-6), Fraction(-5), Fraction(-4)]
+
+
+def _naive_rational_roots(f):
+    # rational root theorem: p | (lowest nonzero coefficient), q | lc(f)
+    cs = f.coefficients
+    low = next(c for c in cs if c)
+    ps = [p for p in range(1, abs(low) + 1) if low % p == 0]
+    qs = [q for q in range(1, abs(cs[-1]) + 1) if cs[-1] % q == 0]
+    cands = {Fraction(s * p, q) for p in ps for q in qs for s in (1, -1)}
+    if cs[0] == 0:
+        cands.add(Fraction(0))
+    return sorted(r for r in cands if sum(c * r**i for i, c in enumerate(cs)) == 0)
+
+
+@settings(max_examples=150)
+@given(small_poly)
+def test_rational_roots_match_the_rational_root_theorem(f):
+    if f.is_zero:
+        return
+    assert rational_roots(f) == _naive_rational_roots(f)
