@@ -21,14 +21,14 @@ from . import __version__
 from . import jacobian as jac
 from .diophantine import (
     DioParams,
-    ObstructionCertificate,
     bounded_search,
     mod4_obstruction,
     obstruction_sweep,
     parity_claim_check,
     qr_law_check,
+    tuples_checked,
 )
-from .errors import BudgetExceededError, ParameterError
+from .errors import ParameterError
 from .family import (
     ASSUMPTION_GENUS,
     ASSUMPTION_INFINITY,
@@ -39,7 +39,6 @@ from .family import (
     FamilyParams,
     discriminant_profile,
     eliminate_points,
-    y_bound,
     y_candidates,
 )
 from .ffield import CurveEquation, PointCountTable
@@ -221,16 +220,11 @@ def build_torsion_certificate(
     runs only when elimination leaves survivors; it needs a genus, which
     the curve's mixed x*y term prevents deriving by formula, so for m != 0
     the caller must supply one (tagged GENUS-USER) or the outcome is
-    honestly INCONCLUSIVE.  `budget` caps the 2*y_max candidate box, which
-    is refused before it is enumerated, and each point count of the scan.
+    honestly INCONCLUSIVE.  `budget` caps the candidate box (see
+    `y_candidates`) and each point count of the scan.
     """
     profile = discriminant_profile(params, convention)
-    box = 2 * y_bound(profile)
-    if box > budget:
-        raise BudgetExceededError(
-            f"candidate box of {box} values of y exceeds the budget {budget}"
-        )
-    candidates = y_candidates(profile)
+    candidates = y_candidates(profile, budget=budget)
     elimination = tuple(eliminate_points(params, candidates, convention))
 
     comparison, discrepancies = convention_evidence(params, convention)
@@ -299,7 +293,6 @@ class DioCertificate:
     solutions: tuple[tuple[int, int, int], ...]
     sweep_bound: int
     sweep_smallest: tuple[int | None, ...]
-    sweep_certificates: tuple[ObstructionCertificate | None, ...]
     replication: dict
     discrepancies: tuple[str, ...]
 
@@ -327,9 +320,7 @@ class DioCertificate:
                     {
                         "r": r,
                         "smallest_modulus": self.sweep_smallest[r],
-                        "tuples_checked": None
-                        if self.sweep_certificates[r] is None
-                        else self.sweep_certificates[r].tuples_checked,
+                        "tuples_checked": tuples_checked(self.sweep_smallest[r]),
                     }
                     for r in range(12)
                 ],
@@ -401,7 +392,6 @@ def build_dio_certificate(
         solutions=solutions,
         sweep_bound=sweep.modulus_bound,
         sweep_smallest=sweep.smallest_modulus,
-        sweep_certificates=sweep.certificates,
         replication=replication,
         discrepancies=tuple(discrepancies),
     )

@@ -22,7 +22,9 @@ and CRT.  For fixed x, the congruence is solvable mod M exactly when it is
 solvable mod every q, and the x-class is the product over q of the classes
 x = r (mod gcd(c, q)).  So the class is empty mod M exactly when, for some
 single q, no x = r (mod gcd(c, q)) is solvable mod q.  Each q is settled
-once, in O(q^2) steps (see `_solvable_flags`); (Z/M)^3 is never enumerated.
+once by the search's own question: is the discriminant
+D = (xy)^2 + 4(a*x^d1 - y^d2 - b) a square, here modulo 4q, for some y?
+That is O(q^2) steps (see `_solvable_flags`); (Z/M)^3 is never enumerated.
 """
 
 from __future__ import annotations
@@ -39,15 +41,14 @@ __all__ = [
     "DioParams",
     "Mod4Tables",
     "ParityTable",
-    "ObstructionCertificate",
     "SweepResult",
     "validate_dio_params",
     "eval_lhs",
-    "search_box",
     "bounded_search",
     "mod4_obstruction",
     "parity_claim_check",
     "obstruction_sweep",
+    "tuples_checked",
     "qr_law_check",
 ]
 
@@ -103,10 +104,10 @@ def eval_lhs(a: int, b: int, d1: int, d2: int, x: int, y: int, z: int) -> int:
     return a * x**d1 - y**d2 - z * z + x * y * z - b
 
 
-# The square sieve of search_box tests D mod 64 on every (x, y) pair, with a
-# mask instead of a division, then D mod each of these on the pairs left.
-# 64, 63 and 65 keep 12, 16 and 21 of their residues, the primes p keep
-# (p + 1) / 2.  Every modulus is at most 65, so every value the sieve
+# The square sieve of bounded_search tests D mod 64 on every (x, y) pair,
+# with a mask instead of a division, then D mod each of these on the pairs
+# left.  64, 63 and 65 keep 12, 16 and 21 of their residues, the primes p
+# keep (p + 1) / 2.  Every modulus is at most 65, so every value the sieve
 # computes lies within 64^2 + 64 of zero and fits int16.
 _SIEVE_MODULI = (63, 65, 11, 17, 19, 23)
 
@@ -122,14 +123,7 @@ def _square_table(m: int) -> np.ndarray:
     return is_square
 
 
-def search_box(
-    a: int,
-    b: int,
-    d1: int,
-    d2: int,
-    box: int,
-    x_class: tuple[int, int] | None = None,
-) -> list[tuple[int, int, int]]:
+def bounded_search(params: DioParams, box: int) -> list[tuple[int, int, int]]:
     """All solutions with |x|, |y|, |z| <= box, sorted lexicographically.
 
     For fixed (x, y) the equation is monic quadratic in z, so solutions
@@ -147,12 +141,8 @@ def search_box(
     """
     if box < 1:
         raise ParameterError("box must be >= 1")
-    xs = [
-        x
-        for x in range(-box, box + 1)
-        if x_class is None or (x - x_class[0]) % x_class[1] == 0
-    ]
-    ys = list(range(-box, box + 1))
+    a, b, d1, d2 = params.a, params.b, params.d1, params.d2
+    xs = ys = list(range(-box, box + 1))
     x_terms = [4 * (a * x**d1 - b) for x in xs]
     y_terms = [4 * y**d2 for y in ys]
     # one reduction of each big term mod the product of all the moduli
@@ -198,12 +188,6 @@ def search_box(
                     assert eval_lhs(a, b, d1, d2, x, y, z) == 0
                     solutions.add((x, y, z))
     return sorted(solutions)
-
-
-def bounded_search(
-    params: DioParams, box: int, x_class: tuple[int, int] | None = None
-) -> list[tuple[int, int, int]]:
-    return search_box(params.a, params.b, params.d1, params.d2, box, x_class)
 
 
 @dataclass(frozen=True)
@@ -267,56 +251,48 @@ def parity_claim_check() -> ParityTable:
     return ParityTable(solutions=sols)
 
 
-@dataclass(frozen=True)
-class ObstructionCertificate:
-    """No (x, y, z) in (Z/modulus)^3 with x = r (mod c) solves the congruence.
-
-    The class is certified empty mod `modulus` through its prime-power
-    factors and CRT (see the module docstring).  `tuples_checked` is the
-    size of the tuple set proved empty, (modulus / c) * modulus^2, not the
-    number of tuples enumerated to prove it.
-    """
-
-    params: DioParams
-    modulus: int
-    x_class: tuple[int, int]  # (residue r, modulus c) with c | modulus
-    exhaustive: bool
-    tuples_checked: int
-
-
 def _solvable_flags(a: int, b: int, d1: int, d2: int, modulus: int) -> list[bool]:
     """For each x in Z/q: does some (y, z) in (Z/q)^2 solve the congruence?
 
-    The congruence reads z^2 - s*z = c with s = x*y and c = a*x^d1 - b - y^d2.
-    One q x q grid over (s, z) tabulates hit[s, c], "some z in Z/q has
-    z^2 - s*z = c"; a second over (x, y) looks up hit[x*y, c].  So the work
-    is O(q^2), not O(q^3).  Since z runs over all of Z/q, nothing divides
-    by 2 and the table is exact for every q, powers of 2 included.  All
-    int64 values stay below q^2 in absolute value.
+    The congruence reads z^2 - s*z = c (mod q) with s = x*y and
+    c = a*x^d1 - b - y^d2.  Multiplied by 4 it is (2z - s)^2 = s^2 + 4c
+    (mod 4q), so a solution z makes D = s^2 + 4c a square mod 4q.
+    Conversely any w with w^2 = D (mod 4q) has w^2 = s^2 (mod 4), so
+    w = s (mod 2) and z = (w + s)/2 is an integer solving it.  This holds
+    for every q, powers of 2 included, and for any representatives s and c.
+    So one q x q grid over (x, y) of D mod 4q, read through the square
+    table mod 4q, answers for every x in O(q^2) steps.  All int64 values
+    stay below 5q^2.
     """
     q = modulus
     v = np.arange(q, dtype=np.int64)
-    hit = np.zeros((q, q), dtype=bool)
-    hit[v[:, None], (v * v - v[:, None] * v) % q] = True  # rows s, columns z
     y_pow = np.array([pow(y, d2, q) for y in range(q)], dtype=np.int64)
     x_rhs = np.array([(a * pow(x, d1, q) - b) % q for x in range(q)], dtype=np.int64)
-    solvable = hit[v[:, None] * v % q, (x_rhs[:, None] - y_pow) % q]  # rows x, columns y
-    return solvable.any(axis=1).tolist()
+    disc = v[:, None] * v % q  # s = x*y, rows x, columns y
+    disc *= disc
+    c = x_rhs[:, None] - y_pow
+    c %= q
+    c *= 4
+    disc += c
+    disc %= 4 * q
+    return _square_table(4 * q)[disc].any(axis=1).tolist()
 
 
 def _class_obstructed(
     params: DioParams,
     modulus: int,
-    x_class: tuple[int, int],
+    residue_class: tuple[int, int],
     cache: dict[int, list[bool]],
 ) -> bool:
     """Is no x = r (mod c) solvable mod `modulus`?  Requires c | modulus.
 
     By CRT the class is empty mod M exactly when some prime power q || M
-    leaves no x = r (mod gcd(c, q)) solvable mod q.  `cache` maps q to its
-    flags for one parameter set, so a sweep enumerates each q once.
+    leaves no x = r (mod gcd(c, q)) solvable mod q, that is, no such x
+    and y make the discriminant of the quadratic in z a square mod 4q.
+    `cache` maps q to its flags for one parameter set, so a sweep builds
+    each q's table once.
     """
-    r, c = x_class
+    r, c = residue_class
     for p, e in factorize(modulus).items():
         q = p**e
         flags = cache.get(q)
@@ -334,7 +310,13 @@ def _class_obstructed(
 class SweepResult:
     modulus_bound: int
     smallest_modulus: tuple[int | None, ...]  # index r = 0..11
-    certificates: tuple[ObstructionCertificate | None, ...]
+
+
+def tuples_checked(modulus: int | None) -> int | None:
+    """Size of the tuple set proved empty for a class r mod 12 closed at
+    `modulus`: (modulus / 12) x-values times modulus^2 (y, z), not the
+    number of tuples enumerated to prove it.  None for an open class."""
+    return None if modulus is None else (modulus // 12) * modulus * modulus
 
 
 def obstruction_sweep(params: DioParams, modulus_bound: int) -> SweepResult:
@@ -346,7 +328,6 @@ def obstruction_sweep(params: DioParams, modulus_bound: int) -> SweepResult:
     exhaustive per-prime-power evidence shared across moduli).
     """
     best: list[int | None] = [None] * 12
-    certs: list[ObstructionCertificate | None] = [None] * 12
     cache: dict[int, list[bool]] = {}
     for modulus in range(12, modulus_bound + 1, 12):
         pending = [r for r in range(12) if best[r] is None]
@@ -355,18 +336,7 @@ def obstruction_sweep(params: DioParams, modulus_bound: int) -> SweepResult:
         for r in pending:
             if _class_obstructed(params, modulus, (r, 12), cache):
                 best[r] = modulus
-                certs[r] = ObstructionCertificate(
-                    params=params,
-                    modulus=modulus,
-                    x_class=(r, 12),
-                    exhaustive=True,
-                    tuples_checked=(modulus // 12) * modulus * modulus,
-                )
-    return SweepResult(
-        modulus_bound=modulus_bound,
-        smallest_modulus=tuple(best),
-        certificates=tuple(certs),
-    )
+    return SweepResult(modulus_bound=modulus_bound, smallest_modulus=tuple(best))
 
 
 # qr_law_check multiplies residues below the bound in int64; 3037000499 is

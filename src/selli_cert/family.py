@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd
 
 from .arith import factorize, is_prime
-from .errors import HypothesisError, ParameterError
+from .errors import BudgetExceededError, HypothesisError, ParameterError
 # perfbench/tracing.py patches discriminant on this module.
 from .polyring import IntPolynomial, discriminant, rational_roots  # noqa: F401
 
@@ -236,15 +236,20 @@ class CandidateSet:
     zero_reason: str
 
 
-def y_candidates(profile: DiscriminantProfile) -> CandidateSet:
+def y_candidates(profile: DiscriminantProfile, *, budget: int = 10**8) -> CandidateSet:
     """Test y^d2 | Delta(f)(y) for every 0 < |y| <= y_bound.
 
     y = 0 is excluded with an explicit reason: Delta(f)(0) != 0 while
     0^d2 divides only 0.  Divisibility is on signed values; the sign is
-    irrelevant and normalized away.
+    irrelevant and normalized away.  A box of more than `budget` values
+    (2*y_max) is refused before it is enumerated.
     """
     d2 = profile.params.d2
     y_max = y_bound(profile)
+    if 2 * y_max > budget:
+        raise BudgetExceededError(
+            f"candidate box of {2 * y_max} values of y exceeds the budget {budget}"
+        )
     records = []
     surviving = []
     for y in range(-y_max, y_max + 1):

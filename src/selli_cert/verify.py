@@ -45,7 +45,12 @@ from .certificates import (
 # The search and the sweep run once per certificate, inside
 # build_dio_certificate.  Their names stay bound here because
 # perfbench/tracing.py patches them on this module.
-from .diophantine import bounded_search, obstruction_sweep, validate_dio_params  # noqa: F401
+from .diophantine import (  # noqa: F401
+    bounded_search,
+    obstruction_sweep,
+    tuples_checked,
+    validate_dio_params,
+)
 from .errors import SelliCertError
 from .family import (
     ASSUMPTION_GENUS,
@@ -361,9 +366,7 @@ def _verify_dio(doc: dict) -> list[str]:
                     f"recomputed {smallest}"
                 )
                 continue
-            cert = reference.sweep_certificates[r]
-            stored_tc = entry["tuples_checked"]
-            if cert is not None and stored_tc != cert.tuples_checked:
+            if entry["tuples_checked"] != tuples_checked(smallest):
                 failures.append(f"obstructions: class {r} tuple count does not recompute")
 
         block = "replication"

@@ -18,10 +18,11 @@ from selli_cert.certificates import (
 )
 from selli_cert.cli import main as cli_main
 from selli_cert.diophantine import (
+    DioParams,
+    bounded_search,
     mod4_obstruction,
     parity_claim_check,
     qr_law_check,
-    search_box,
     validate_dio_params,
 )
 from selli_cert.family import validate_params
@@ -119,9 +120,9 @@ def test_criterion_05_bounded_search():
     with clocked(10.0):
         for a, d1, d2 in ((13, 3, 2), (25, 3, 4), (37, 3, 2)):
             params = validate_dio_params(a, d1, d2)
-            assert search_box(params.a, params.b, d1, d2, 30) == [], (a, d1, d2)
+            assert bounded_search(params, 30) == [], (a, d1, d2)
         # mutation: moving b by the right offset plants (2, 1, 2)
-        planted = search_box(13, 13 * 8 - 1 - 4 + 4, 3, 2, 30)
+        planted = bounded_search(DioParams(a=13, b=13 * 8 - 1 - 4 + 4, d1=3, d2=2), 30)
         assert (2, 1, 2) in planted
 
 

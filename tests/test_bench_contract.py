@@ -6,7 +6,10 @@ modules, and perfbench/run.py drives `cli.main` with the flags of each
 generated job plus `--out`, then `verify`.  Generating every workload and
 running its first job end to end, untraced and traced, fails here instead
 of in a benchmark run when one of those names or flags goes missing, an
-answer changes, or a traced metric can no longer be read.
+answer changes, or a traced metric can no longer be read.  The traced run
+also starts with a self-test whose counters must equal known work, and
+times point counts at 1 and 2 threads; both are replayed here, since the
+traced path can break while the untraced one still passes.
 """
 
 import importlib
@@ -27,16 +30,17 @@ def bench():
     sys.path.insert(0, str(PERFBENCH))
     try:
         import oracle
+        import run
         import tracing
         import workloads
     finally:
         sys.path.remove(str(PERFBENCH))
-    return workloads, oracle, tracing
+    return workloads, oracle, tracing, run
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_first_job_matches_reference(bench, workload, tmp_path, capsys):
-    workloads, oracle, _ = bench
+    workloads, oracle, _, _ = bench
     jobs, _ = workloads.generate(workload, oracle.REFERENCE_SEED)
     job = jobs[0]
     out = tmp_path / "cert.json"
@@ -51,7 +55,7 @@ def test_first_job_matches_reference(bench, workload, tmp_path, capsys):
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_traced_first_job_reports_every_layer_metric(bench, workload, tmp_path, capsys):
-    workloads, oracle, tracing = bench
+    workloads, oracle, tracing, _ = bench
     job = workloads.generate(workload, oracle.REFERENCE_SEED)[0][0]
     out = tmp_path / "cert.json"
     recorder = tracing.Recorder()
@@ -70,7 +74,33 @@ def test_traced_first_job_reports_every_layer_metric(bench, workload, tmp_path, 
 
 
 def test_traced_names_exist(bench):
-    _, _, tracing = bench
+    _, _, tracing, _ = bench
     for module_name, attr, _, _ in tracing.PATCH_POINTS:
         target = getattr(importlib.import_module(module_name), attr, None)
         assert callable(target), f"{module_name}.{attr}"
+
+
+def test_traced_self_test_counters(bench, tmp_path, capsys):
+    workloads, _, tracing, run = bench
+    out = str(tmp_path / "cert.json")
+    recorder = tracing.Recorder()
+    with tracing.installed(recorder):
+        for label, argv, span_name, counter, expected in run.SELF_TEST:
+            first = len(recorder.spans)
+            rc = cli.main([*argv, "--out", out])
+            assert rc in workloads.ALLOWED_EXITS, label
+            if argv[0] != "count-points":
+                assert cli.main(["verify", out]) == 0, label
+            spans = [s for s in recorder.spans[first:] if s.name == span_name]
+            assert spans, f"{label}: no {span_name} span"
+            assert spans[0].attrs.get(counter) == expected, label
+    assert recorder.absent == {}
+    capsys.readouterr()
+
+
+def test_count_speedup_runs_at_two_threads(bench):
+    # count_speedup reports no ratio when count_points refuses threads=2
+    workloads, oracle, _, run = bench
+    jobs = workloads.generate("prime-scan", oracle.REFERENCE_SEED)[0]
+    speedup, how = run.count_speedup([j for j in jobs if j.counts][:1], 0.0)
+    assert speedup is not None, how

@@ -410,6 +410,12 @@ def test_dio_tamper_detected():
     assert verify_certificate(doc) == [
         "obstructions: class 0 tuple count does not recompute"
     ]
+    # class 5 stays open, so its tuple count must be null
+    doc = copy.deepcopy(base)
+    doc["obstructions"]["classes"][5]["tuples_checked"] = 10**9
+    assert verify_certificate(doc) == [
+        "obstructions: class 5 tuple count does not recompute"
+    ]
     doc = copy.deepcopy(base)
     doc["discrepancies"] = []
     assert verify_certificate(doc) != []

@@ -221,6 +221,17 @@ def test_y_box_over_budget_refused_before_enumeration(capsys):
     assert "candidate box of 5471856722 values of y exceeds the budget 100000000" in stderr
 
 
+def test_y_candidates_box_over_budget_refused(capsys):
+    # the subcommand enumerates the same box under analyze-curve's default budget
+    start = time.perf_counter()
+    code, stdout, stderr = run_cli(
+        capsys, "y-candidates", "--a", "13", "--m", "1", "--d1", "21", "--d2", "26"
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, stdout) == (1, "")
+    assert "candidate box of 5471856722 values of y exceeds the budget 100000000" in stderr
+
+
 def test_count_points(capsys):
     code, stdout, _ = run_cli(
         capsys, "count-points", "--curve", "y^2=x^3+1", "--p", "5"

@@ -16,7 +16,7 @@ from selli_cert.diophantine import (
     obstruction_sweep,
     parity_claim_check,
     qr_law_check,
-    search_box,
+    tuples_checked,
     validate_dio_params,
 )
 from selli_cert.errors import BudgetExceededError, HypothesisError, ParameterError
@@ -63,13 +63,17 @@ def test_bounded_search_empty_for_all_triples():
         assert bounded_search(params, 30) == [], (a, d1, d2)
 
 
-def _cube_solutions(a, b, d1, d2, box, x_class=None):
+def _search(a, b, d1, d2, box):
+    """bounded_search with an arbitrary b, not necessarily the derived one."""
+    return bounded_search(DioParams(a=a, b=b, d1=d1, d2=d2), box)
+
+
+def _cube_solutions(a, b, d1, d2, box):
     """Every (x, y, z) in the box solving the equation, by visiting the cube."""
     r = range(-box, box + 1)
     return sorted(
         (x, y, z)
         for x in r
-        if x_class is None or (x - x_class[0]) % x_class[1] == 0
         for y in r
         for z in r
         if eval_lhs(a, b, d1, d2, x, y, z) == 0
@@ -79,7 +83,7 @@ def _cube_solutions(a, b, d1, d2, box, x_class=None):
 def test_search_matches_bruteforce_small():
     for a, d1, d2 in PARAM_TRIPLES:
         params = validate_dio_params(a, d1, d2)
-        fast = search_box(params.a, params.b, d1, d2, 8)
+        fast = bounded_search(params, 8)
         assert fast == _cube_solutions(params.a, params.b, d1, d2, 8)
 
 
@@ -87,27 +91,20 @@ def test_search_planted_root_fires():
     # b chosen so (2, 1, 2) solves a x^3 - y^2 - z^2 + xyz - b = 0
     a = 13
     b = a * 8 - 1 - 4 + 4
-    found = search_box(a, b, 3, 2, 8)
+    found = _search(a, b, 3, 2, 8)
     assert (2, 1, 2) in found
 
 
 def test_search_solution_set_closed_under_negation():
     # (x, y, z) -> (x, -y, -z) preserves every term
     a, b = 13, 103
-    sols = set(search_box(a, b, 3, 2, 10))
+    sols = set(_search(a, b, 3, 2, 10))
     assert sols == {(x, -y, -z) for x, y, z in sols}
-
-
-def test_search_x_class_restriction():
-    a, b = 13, 103
-    all_sols = search_box(a, b, 3, 2, 10)
-    classed = search_box(a, b, 3, 2, 10, x_class=(0, 2))
-    assert classed == [s for s in all_sols if s[0] % 2 == 0]
 
 
 def test_search_box_validation():
     with pytest.raises(ParameterError):
-        search_box(13, 101, 3, 2, 0)
+        bounded_search(validate_dio_params(13, 3, 2), 0)
 
 
 def _pair_solutions(a, b, d1, d2, box):
@@ -133,20 +130,18 @@ def _pair_solutions(a, b, d1, d2, box):
     box=st.integers(1, 12),
     free_b=st.integers(-10**6, 10**6),
     planted=st.none() | st.tuples(*[st.integers(-12, 12)] * 3),
-    x_class=st.none() | st.tuples(st.integers(-6, 6), st.integers(1, 6)),
 )
-@example(a=1, d1=3, d2=2, box=5, free_b=0, planted=(1, 2, 5), x_class=None)  # z = box
-@example(a=1, d1=3, d2=2, box=5, free_b=0, planted=(1, -2, -5), x_class=None)  # z = -box
-@example(a=7, d1=9, d2=4, box=4, free_b=0, planted=(0, 2, 3), x_class=None)  # x = 0
-@example(a=-3, d1=15, d2=6, box=6, free_b=0, planted=(1, 0, 4), x_class=(1, 3))  # y = 0
-@example(a=5, d1=2, d2=14, box=3, free_b=0, planted=(0, 0, 0), x_class=None)  # origin
-def test_search_box_matches_cube(a, d1, d2, box, free_b, planted, x_class):
+@example(a=1, d1=3, d2=2, box=5, free_b=0, planted=(1, 2, 5))  # z = box
+@example(a=1, d1=3, d2=2, box=5, free_b=0, planted=(1, -2, -5))  # z = -box
+@example(a=7, d1=9, d2=4, box=4, free_b=0, planted=(0, 2, 3))  # x = 0
+@example(a=-3, d1=15, d2=6, box=6, free_b=0, planted=(1, 0, 4))  # y = 0
+@example(a=5, d1=2, d2=14, box=3, free_b=0, planted=(0, 0, 0))  # origin
+def test_search_box_matches_cube(a, d1, d2, box, free_b, planted):
     b = free_b if planted is None else eval_lhs(a, 0, d1, d2, *planted)
-    found = search_box(a, b, d1, d2, box, x_class)
-    assert found == _cube_solutions(a, b, d1, d2, box, x_class)
+    found = _search(a, b, d1, d2, box)
+    assert found == _cube_solutions(a, b, d1, d2, box)
     if planted is not None and max(map(abs, planted)) <= box:
-        if x_class is None or (planted[0] - x_class[0]) % x_class[1] == 0:
-            assert planted in found
+        assert planted in found
 
 
 @pytest.mark.parametrize("block_pairs", [1, 17, 3 * 17])
@@ -158,7 +153,7 @@ def test_search_box_small_row_blocks(monkeypatch, block_pairs):
     expected = _cube_solutions(a, b, d1, d2, box)
     assert (box, 3, -4) in expected
     monkeypatch.setattr(diophantine, "_SEARCH_BLOCK_PAIRS", block_pairs)
-    assert search_box(a, b, d1, d2, box) == expected
+    assert _search(a, b, d1, d2, box) == expected
 
 
 @pytest.mark.parametrize("triple", [(13, 3, 2), (25, 9, 4), (37, 15, 14)])
@@ -166,7 +161,7 @@ def test_search_box_300_matches_pair_loop(triple):
     params = validate_dio_params(*triple)
     for b in (params.b, eval_lhs(params.a, 0, params.d1, params.d2, 2, -250, 299)):
         expected = _pair_solutions(params.a, b, params.d1, params.d2, 300)
-        assert search_box(params.a, b, params.d1, params.d2, 300) == expected
+        assert _search(params.a, b, params.d1, params.d2, 300) == expected
     assert (2, -250, 299) in expected
 
 
@@ -235,13 +230,8 @@ def test_obstruction_sweep_all_triples():
         expected = tuple(None if r in (5, 9) else 12 for r in range(12))
         assert sweep.smallest_modulus == expected, (a, d1, d2)
         for r in range(12):
-            cert = sweep.certificates[r]
-            if r in (5, 9):
-                assert cert is None
-            else:
-                assert cert.modulus == 12
-                assert cert.x_class == (r, 12)
-                assert cert.tuples_checked == 12 * 12
+            count = tuples_checked(sweep.smallest_modulus[r])
+            assert count == (None if r in (5, 9) else 12 * 12)
 
 
 def test_sweep_agrees_with_residue_obstruction():
@@ -283,7 +273,10 @@ def _cube_solvable_x(a, b, d1, d2, modulus):
     return solvable
 
 
-@pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64, 3, 9, 27, 81, 5, 25, 7, 49, 11, 13])
+# Powers of 2 are where reading the discriminant mod 4q, not mod q, matters.
+@pytest.mark.parametrize(
+    "q", [2, 4, 8, 16, 32, 64, 128, 256, 3, 9, 27, 81, 243, 5, 25, 125, 7, 49, 11, 121, 13, 169]
+)
 @pytest.mark.parametrize("abd", [(13, 101, 3, 2), (-8, -72, 6, 4), (35, -125, 7, 2)])
 def test_solvable_flags_prime_powers_match_cube(q, abd):
     flags = diophantine._solvable_flags(*abd, q)
@@ -313,13 +306,8 @@ def test_obstruction_engine_matches_cube_oracle(a, b, d1, d2, bound, data):
     sweep = obstruction_sweep(params, bound)
     assert sweep.modulus_bound == bound
     assert sweep.smallest_modulus == tuple(expected)
-    for r, cert in enumerate(sweep.certificates):
-        if expected[r] is None:
-            assert cert is None
-        else:
-            M = expected[r]
-            assert (cert.modulus, cert.x_class) == (M, (r, 12))
-            assert cert.tuples_checked == (M // 12) * M * M
+    for r, M in enumerate(expected):
+        assert tuples_checked(M) == (None if M is None else (M // 12) * M * M)
 
     if data is None:
         return
@@ -341,12 +329,12 @@ def test_sweep_pinned_large_minimal_moduli():
     assert sweep.smallest_modulus == (
         48, None, None, 108, 48, None, 108, None, 48, 108, None, None
     )
-    assert sweep.certificates[3].tuples_checked == 9 * 108 * 108
+    assert tuples_checked(sweep.smallest_modulus[3]) == 9 * 108 * 108
     sweep = obstruction_sweep(DioParams(a=-25, b=144, d1=7, d2=2), 200)
     assert sweep.smallest_modulus == (
         192, 12, None, None, 12, None, None, 12, 192, None, 12, None
     )
-    assert sweep.certificates[8].tuples_checked == 16 * 192 * 192
+    assert tuples_checked(sweep.smallest_modulus[8]) == 16 * 192 * 192
 
 
 def test_sweep_runtime_cap_at_720():
