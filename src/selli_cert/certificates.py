@@ -9,11 +9,16 @@ Canonical JSON: sorted keys, arbitrary-precision integers rendered exactly,
 rationals as "p/q" strings, stable across runs and thread counts.  Both
 kinds write `"timing": null`: schema selli-cert/1 fixes that key, and no
 wall time is ever recorded, so output is byte-reproducible.
+
+Every block that `verify` recomputes has one producer here, shared by the
+builder and the verifier: `profile_block`, `elimination_list`,
+`convention_evidence` and `replication_evidence`.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import gcd
 
@@ -22,9 +27,7 @@ from . import jacobian as jac
 from .diophantine import (
     DioParams,
     bounded_search,
-    mod4_obstruction,
     obstruction_sweep,
-    parity_claim_check,
     qr_law_check,
     tuples_checked,
 )
@@ -66,15 +69,31 @@ def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def candidates_list(cs: CandidateSet) -> list[dict]:
-    """The candidate box as rendered in torsion and y-candidates output."""
+# ---- torsion certificate ----
+
+def profile_block(profile: DiscriminantProfile) -> dict:
+    """The profile block: Delta(f)(y) as stored and as verify recomputes it."""
+    return {
+        "c3": profile.c3,
+        "c0": profile.c0,
+        "lead_abs": profile.lead_abs,
+        "const_abs": profile.const_abs,
+        "y_degree": profile.y_degree,
+    }
+
+
+def elimination_list(records: Iterable[EliminationRecord]) -> list[dict]:
+    """The elimination block, one entry per surviving y0, roots as "p/q"."""
     return [
-        {"y": r.y, "delta": r.delta_value, "passes": r.passes_divisibility}
-        for r in cs.candidates
+        {
+            "y0": r.y0,
+            "cubic": list(r.reduced_cubic.coefficients),
+            "rational_x": [str(x) for x in r.rational_x],
+            "eliminated": r.eliminated,
+        }
+        for r in records
     ]
 
-
-# ---- torsion certificate ----
 
 @dataclass(frozen=True)
 class TorsionCertificate:
@@ -108,13 +127,7 @@ class TorsionCertificate:
                 "b_explicit": p.b_explicit,
             },
             "convention": self.convention,
-            "profile": {
-                "c3": self.profile.c3,
-                "c0": self.profile.c0,
-                "lead_abs": self.profile.lead_abs,
-                "const_abs": self.profile.const_abs,
-                "y_degree": self.profile.y_degree,
-            },
+            "profile": profile_block(self.profile),
             "convention_comparison": self.convention_comparison,
             "y_max": cs.y_max,
             "boundary": {
@@ -123,17 +136,9 @@ class TorsionCertificate:
                 "rhs": cs.boundary_rhs,
             },
             "zero_reason": cs.zero_reason,
-            "candidates": candidates_list(cs),
+            "candidates": list(cs.candidates),
             "surviving": list(cs.surviving),
-            "elimination": [
-                {
-                    "y0": r.y0,
-                    "cubic": list(r.reduced_cubic.coefficients),
-                    "rational_x": [str(x) for x in r.rational_x],
-                    "eliminated": r.eliminated,
-                }
-                for r in self.elimination
-            ],
+            "elimination": elimination_list(self.elimination),
             "conclusion": self.conclusion,
             "genus": None
             if self.genus is None
@@ -225,7 +230,7 @@ def build_torsion_certificate(
     """
     profile = discriminant_profile(params, convention)
     candidates = y_candidates(profile, budget=budget)
-    elimination = tuple(eliminate_points(params, candidates, convention))
+    elimination = tuple(eliminate_points(params, candidates.surviving, convention))
 
     comparison, discrepancies = convention_evidence(params, convention)
     assumptions = [ASSUMPTION_NL]
@@ -331,6 +336,47 @@ class DioCertificate:
         }
 
 
+# replication entry -> the discrepancy code its `matches: false` raises
+_REPLICATION_CODES = (
+    ("sum_mod4", DISCREPANCY_SUM_TABLE),
+    ("diff_mod4", DISCREPANCY_DIFF_TABLE),
+    ("parity", DISCREPANCY_PARITY),
+    ("qr_law", DISCREPANCY_QR),
+)
+
+
+def replication_evidence(qr_bound: int) -> tuple[dict, list[str]]:
+    """The replication block and the discrepancies it raises.
+
+    Each entry stores computed evidence next to the claim it is measured
+    against.  The claims assert that residue 3 is unattainable by
+    y^2 + z^2 and by y^2 - z^2 mod 4, that y^2 + z^2 + y*z = 0 (mod 2)
+    only at the origin (even powers y^(2s) agree with y^2 mod 2, so the
+    quadratic table covers the general claim), and that the
+    quadratic-residue law for 3 holds up to `qr_bound`.  The attained sets
+    are read off the full tables, nothing is hard-coded, and each entry
+    with `matches` false adds its discrepancy code.
+    """
+    squares = sorted({y * y % 4 for y in range(4)})
+    sums = sorted({(y * y + z * z) % 4 for y in range(4) for z in range(4)})
+    diffs = sorted({(y * y - z * z) % 4 for y in range(4) for z in range(4)})
+    parity = [[y, z] for y in range(2) for z in range(2) if (y * y + z * z + y * z) % 2 == 0]
+    qr_holds = qr_law_check(qr_bound)
+    block = {
+        "squares_mod4": {"attained": squares},
+        "sum_mod4": {"attained": sums, "claim_obstructs_3": True, "matches": 3 not in sums},
+        "diff_mod4": {"attained": diffs, "claim_obstructs_3": True, "matches": 3 not in diffs},
+        "parity": {"solutions": parity, "claim_only_origin": True, "matches": parity == [[0, 0]]},
+        "qr_law": {
+            "prime_bound": qr_bound,
+            "holds": qr_holds,
+            "claim_holds": True,
+            "matches": qr_holds,
+        },
+    }
+    return block, [code for key, code in _REPLICATION_CODES if not block[key]["matches"]]
+
+
 def build_dio_certificate(
     params: DioParams,
     *,
@@ -340,52 +386,13 @@ def build_dio_certificate(
 ) -> DioCertificate:
     """Bounded search plus obstruction sweep plus claim replication.
 
-    The replication block stores computed evidence next to the claim it is
-    measured against; `matches` false adds a discrepancy code.  The claims
-    themselves assert that residue 3 is unattainable by both mod-4 tables,
-    that the parity table's only solution is the origin, and that the
-    quadratic-residue law for 3 holds.
+    The replication block and the discrepancy codes its mismatches raise
+    come from `replication_evidence`; `verify` rebuilds all three through
+    this function.
     """
     solutions = tuple(bounded_search(params, box))
     sweep = obstruction_sweep(params, modulus_bound)
-    tables = mod4_obstruction()
-    parity = parity_claim_check()
-    qr_holds = qr_law_check(qr_bound)
-
-    replication = {
-        "squares_mod4": {"attained": list(tables.squares_attained)},
-        "sum_mod4": {
-            "attained": list(tables.sum_attained),
-            "claim_obstructs_3": True,
-            "matches": tables.sum_obstructs_3,
-        },
-        "diff_mod4": {
-            "attained": list(tables.diff_attained),
-            "claim_obstructs_3": True,
-            "matches": tables.diff_obstructs_3,
-        },
-        "parity": {
-            "solutions": [list(s) for s in parity.solutions],
-            "claim_only_origin": True,
-            "matches": parity.only_origin,
-        },
-        "qr_law": {
-            "prime_bound": qr_bound,
-            "holds": qr_holds,
-            "claim_holds": True,
-            "matches": qr_holds,
-        },
-    }
-    discrepancies = []
-    if not tables.sum_obstructs_3:
-        discrepancies.append(DISCREPANCY_SUM_TABLE)
-    if not tables.diff_obstructs_3:
-        discrepancies.append(DISCREPANCY_DIFF_TABLE)
-    if not parity.only_origin:
-        discrepancies.append(DISCREPANCY_PARITY)
-    if not qr_holds:
-        discrepancies.append(DISCREPANCY_QR)
-
+    replication, discrepancies = replication_evidence(qr_bound)
     return DioCertificate(
         params=params,
         box=box,

@@ -18,7 +18,6 @@ from . import jacobian as jac
 from .certificates import (
     build_dio_certificate,
     build_torsion_certificate,
-    candidates_list,
     canonical_json,
 )
 from .errors import HypothesisError, SelliCertError
@@ -151,7 +150,7 @@ def _cmd_y_candidates(args) -> int:
             "convention": args.convention,
             "profile": {"c3": profile.c3, "c0": profile.c0},
             "y_max": cs.y_max,
-            "candidates": candidates_list(cs),
+            "candidates": list(cs.candidates),
             "surviving": list(cs.surviving),
         },
         args.out,

@@ -2,9 +2,11 @@
 
     a*x^d1 - y^d2 - z^2 + x*y*z - b = 0,      b = 2^d1 * a - 3,
 
-as executable certificates: exhaustive bounded search, the small-modulus
-tables the insolubility proof leans on, and a sweep that finds, for each
-class of x mod 12, the smallest multiple of 12 modulo which it is empty.
+as executable certificates: exhaustive bounded search, the
+quadratic-residue law for 3 the insolubility proof leans on, and a sweep
+that finds, for each class of x mod 12, the smallest multiple of 12 modulo
+which it is empty.  The proof's small-modulus tables (mod 4 and the parity
+table) are tabulated in `certificates.replication_evidence`.
 
 The bounded search solves for z by the quadratic formula, so it visits
 (x, y) pairs; a square sieve on the discriminant (modulo 64 and a few small
@@ -39,14 +41,10 @@ from .errors import BudgetExceededError, HypothesisError, ParameterError
 
 __all__ = [
     "DioParams",
-    "Mod4Tables",
-    "ParityTable",
     "SweepResult",
     "validate_dio_params",
     "eval_lhs",
     "bounded_search",
-    "mod4_obstruction",
-    "parity_claim_check",
     "obstruction_sweep",
     "tuples_checked",
     "qr_law_check",
@@ -188,67 +186,6 @@ def bounded_search(params: DioParams, box: int) -> list[tuple[int, int, int]]:
                     assert eval_lhs(a, b, d1, d2, x, y, z) == 0
                     solutions.add((x, y, z))
     return sorted(solutions)
-
-
-@dataclass(frozen=True)
-class Mod4Tables:
-    """Exhaustive mod-4 evidence for the case-analysis claims.
-
-    Attained sets are reported verbatim from the 16-entry tables; nothing
-    is hard-coded, so a divergence between a table and the claim it is
-    supposed to support is visible to the caller rather than suppressed.
-    """
-
-    squares_attained: tuple[int, ...]
-    sum_table: tuple[tuple[int, int, int], ...]  # (y, z, (y^2+z^2) mod 4)
-    diff_table: tuple[tuple[int, int, int], ...]  # (y, z, (y^2-z^2) mod 4)
-    sum_attained: tuple[int, ...]
-    diff_attained: tuple[int, ...]
-
-    @property
-    def sum_obstructs_3(self) -> bool:
-        return 3 not in self.sum_attained
-
-    @property
-    def diff_obstructs_3(self) -> bool:
-        return 3 not in self.diff_attained
-
-
-def mod4_obstruction() -> Mod4Tables:
-    sum_table = tuple((y, z, (y * y + z * z) % 4) for y in range(4) for z in range(4))
-    diff_table = tuple((y, z, (y * y - z * z) % 4) for y in range(4) for z in range(4))
-    return Mod4Tables(
-        squares_attained=tuple(sorted({(y * y) % 4 for y in range(4)})),
-        sum_table=sum_table,
-        diff_table=diff_table,
-        sum_attained=tuple(sorted({v for _, _, v in sum_table})),
-        diff_attained=tuple(sorted({v for _, _, v in diff_table})),
-    )
-
-
-@dataclass(frozen=True)
-class ParityTable:
-    """Solutions of y^2 + z^2 + y*z = 0 (mod 2) over (Z/2)^2.
-
-    Even powers y^(2s) agree with y^2 mod 2 for every s >= 1, so the
-    quadratic table covers the general claim.
-    """
-
-    solutions: tuple[tuple[int, int], ...]
-
-    @property
-    def only_origin(self) -> bool:
-        return self.solutions == ((0, 0),)
-
-
-def parity_claim_check() -> ParityTable:
-    sols = tuple(
-        (y, z)
-        for y in range(2)
-        for z in range(2)
-        if (y * y + z * z + y * z) % 2 == 0
-    )
-    return ParityTable(solutions=sols)
 
 
 def _solvable_flags(a: int, b: int, d1: int, d2: int, modulus: int) -> list[bool]:

@@ -21,6 +21,7 @@ used plus a comparison block whenever the two diverge.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -34,7 +35,6 @@ __all__ = [
     "FamilyParams",
     "DiscriminantProfile",
     "CandidateSet",
-    "CandidateRecord",
     "EliminationRecord",
     "validate_params",
     "discriminant_profile",
@@ -219,16 +219,9 @@ def y_bound(profile: DiscriminantProfile) -> int:
 
 
 @dataclass(frozen=True)
-class CandidateRecord:
-    y: int
-    delta_value: int
-    passes_divisibility: bool
-
-
-@dataclass(frozen=True)
 class CandidateSet:
     y_max: int
-    candidates: tuple[CandidateRecord, ...]
+    candidates: tuple[dict, ...]  # {"y", "delta", "passes"}, as certificates store them
     surviving: tuple[int, ...]
     boundary_y: int  # witness |y| = y_max + 1
     boundary_lhs: int  # |y|^d2 at the witness
@@ -257,7 +250,7 @@ def y_candidates(profile: DiscriminantProfile, *, budget: int = 10**8) -> Candid
             continue
         value = delta_of_y(profile, y)
         passes = value % y**d2 == 0  # 0 is divisible by anything nonzero
-        records.append(CandidateRecord(y=y, delta_value=value, passes_divisibility=passes))
+        records.append({"y": y, "delta": value, "passes": passes})
         if passes:
             surviving.append(y)
     witness = y_max + 1
@@ -273,7 +266,7 @@ def y_candidates(profile: DiscriminantProfile, *, budget: int = 10**8) -> Candid
     )
 
 
-def fixed_delta_candidates(delta: int, d2: int, *, budget: int = 10**6) -> list[int]:
+def fixed_delta_candidates(delta: int, d2: int) -> list[int]:
     """All y with y^d2 | delta for a fixed nonzero delta.
 
     From the factorization of |delta|, each prime may appear in y with
@@ -285,7 +278,7 @@ def fixed_delta_candidates(delta: int, d2: int, *, budget: int = 10**6) -> list[
     if d2 < 1:
         raise ParameterError("d2 must be positive")
     values = [1]
-    for p, e in factorize(delta, budget=budget).items():
+    for p, e in factorize(delta).items():
         cap = e // d2
         if cap:
             values = [v * p**i for v in values for i in range(cap + 1)]
@@ -315,12 +308,12 @@ def elimination_polynomial(
 
 def eliminate_points(
     params: FamilyParams,
-    candidates: CandidateSet,
+    surviving: Iterable[int],
     convention: str = "standard",
 ) -> list[EliminationRecord]:
     """Search each surviving y0 for rational x with (x, y0) on the curve."""
     out = []
-    for y0 in candidates.surviving:
+    for y0 in surviving:
         poly = elimination_polynomial(params, y0, convention)
         roots = tuple(rational_roots(poly))
         out.append(

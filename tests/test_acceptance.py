@@ -15,13 +15,12 @@ from selli_cert.certificates import (
     build_dio_certificate,
     build_torsion_certificate,
     canonical_json,
+    replication_evidence,
 )
 from selli_cert.cli import main as cli_main
 from selli_cert.diophantine import (
     DioParams,
     bounded_search,
-    mod4_obstruction,
-    parity_claim_check,
     qr_law_check,
     validate_dio_params,
 )
@@ -128,8 +127,7 @@ def test_criterion_05_bounded_search():
 
 def test_criterion_06_mod4_and_parity(capsys):
     with clocked(1.0):
-        tables = mod4_obstruction()
-        parity = parity_claim_check()
+        tables, discrepancies = replication_evidence(200)
         code = cli_main(
             [
                 "check-diophantine", "--a", "13", "--d1", "3", "--d2", "2",
@@ -137,13 +135,14 @@ def test_criterion_06_mod4_and_parity(capsys):
             ]
         )
         stdout = capsys.readouterr().out
-    assert tables.sum_attained == (0, 1, 2)
-    assert tables.sum_obstructs_3
-    assert len(tables.diff_table) == 16
-    assert parity.only_origin
+    assert tables["sum_mod4"]["attained"] == [0, 1, 2]
+    assert tables["sum_mod4"]["matches"]
+    assert tables["parity"]["solutions"] == [[0, 0]]
+    assert tables["parity"]["matches"]
     # the difference-table claim diverges from its own tabulation
     # (3 = 0 - 1 mod 4 is attained), and that divergence surfaces as exit 2
-    assert tables.diff_attained == (0, 1, 3)
+    assert tables["diff_mod4"]["attained"] == [0, 1, 3]
+    assert discrepancies == ["mod4-difference-table"]
     assert code == 2
     assert "mod4-difference-table" in json.loads(stdout)["discrepancies"]
 

@@ -68,6 +68,21 @@ def test_traced_first_job_reports_every_layer_metric(bench, workload, tmp_path, 
     values, absent = tracing.layer_metrics(recorder)
     assert absent == {}
     assert set(values) == set(tracing.LAYER_METRICS)
+    # a call moved out from under its patched binding reads 0, not absent,
+    # so the spans behind the metrics most at risk must really be there
+    spans = recorder.spans
+
+    def under_verify(span):
+        while span.parent is not None:
+            span = spans[span.parent]
+            if span.name == "verify":
+                return True
+        return False
+
+    if workload == "dio-sweep":
+        assert any(s.name == "diophantine.qr" for s in spans)
+    if workload == "curve-sweep":
+        assert any(s.name == "polyring.rational_roots" and under_verify(s) for s in spans)
     # the benchmark reads its result from the last line of stdout, so a run
     # that writes its certificate to --out must print nothing there
     assert capsys.readouterr().out == ""

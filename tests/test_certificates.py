@@ -13,9 +13,10 @@ from selli_cert.certificates import (
     build_dio_certificate,
     build_torsion_certificate,
     canonical_json,
+    replication_evidence,
 )
 from selli_cert.diophantine import validate_dio_params
-from selli_cert import verify
+from selli_cert import family
 from selli_cert.family import FamilyParams, elimination_polynomial, validate_params
 from selli_cert.jacobian import GENUS_USER, GenusSpec
 from selli_cert.verify import verify_certificate
@@ -129,6 +130,15 @@ def test_torsion_tamper_detected():
         assert verify_certificate(doc) == [
             "params: stored b or d does not match the validated parameters"
         ], key
+    # values that compare equal to the recomputed ones but are not them
+    doc = copy.deepcopy(base)
+    doc["y_max"] = 5.0
+    assert verify_certificate(doc) == ["y_max: stored 5.0, recomputed 5"]
+    doc = copy.deepcopy(base)
+    doc["surviving"] = [1, -1]
+    assert verify_certificate(doc) == [
+        "surviving: stored list does not match recomputed survivors"
+    ]
 
 
 def test_torsion_conclusion_and_convention_blocks_recomputed():
@@ -188,20 +198,33 @@ def test_verify_box_check_is_bounded_by_the_document(tmp_path):
 
 
 def test_verify_checks_coverage_before_solving_records(monkeypatch):
-    # a self-consistent record for a y0 that is not a survivor must fail the
-    # coverage check without its polynomial being solved
-    doc = torsion_doc(**default_build_kw())
+    # a self-consistent record for a y0 that is not a survivor, or the
+    # survivors' own records out of order, must fail the coverage check
+    # without any polynomial being solved; records are solved inside
+    # family.eliminate_points, so the root finder is watched there
+    base = torsion_doc(**default_build_kw())
     y0 = 10**200 + 1
     poly = elimination_polynomial(validate_params(13, 1, 3, 10), y0)
-    doc["elimination"].append(
-        {"y0": y0, "cubic": list(poly.coefficients), "rational_x": [], "eliminated": True}
-    )
     solved = []
-    monkeypatch.setattr(verify, "rational_roots", lambda f: solved.append(f) or [])
-    start = time.perf_counter()
-    assert verify_certificate(doc) == ["elimination: records do not cover exactly the survivors"]
-    assert time.perf_counter() - start < 1
+    monkeypatch.setattr(family, "rational_roots", lambda f: solved.append(f) or [])
+    edits = [
+        lambda records: records.append(
+            {"y0": y0, "cubic": list(poly.coefficients), "rational_x": [], "eliminated": True}
+        ),
+        list.reverse,
+    ]
+    for edit in edits:
+        doc = copy.deepcopy(base)
+        edit(doc["elimination"])
+        start = time.perf_counter()
+        assert verify_certificate(doc) == [
+            "elimination: records do not cover exactly the survivors"
+        ]
+        assert time.perf_counter() - start < 1
     assert solved == []
+    # the watch is live: the untouched certificate does solve its survivors
+    assert verify_certificate(base) == []
+    assert len(solved) == 2
 
 
 def test_infinity_counts_are_one_point():
@@ -383,6 +406,21 @@ def test_dio_certificate_shape():
     assert doc["replication"]["qr_law"]["matches"] is True
 
 
+def test_replication_evidence():
+    block, discrepancies = replication_evidence(200)
+    assert block["squares_mod4"] == {"attained": [0, 1]}
+    assert block["sum_mod4"] == {"attained": [0, 1, 2], "claim_obstructs_3": True, "matches": True}
+    # 3 = 0 - 1 mod 4 is attained, so the difference-table claim diverges
+    assert block["diff_mod4"] == {
+        "attained": [0, 1, 3], "claim_obstructs_3": True, "matches": False
+    }
+    assert block["parity"] == {"solutions": [[0, 0]], "claim_only_origin": True, "matches": True}
+    assert block["qr_law"] == {
+        "prime_bound": 200, "holds": True, "claim_holds": True, "matches": True
+    }
+    assert discrepancies == ["mod4-difference-table"]
+
+
 def test_dio_round_trip_verifies():
     for a, d1, d2 in ((13, 3, 2), (25, 3, 4), (37, 3, 2)):
         params = validate_dio_params(a, d1, d2)
@@ -422,6 +460,20 @@ def test_dio_tamper_detected():
     doc = copy.deepcopy(base)
     doc["params"]["b"] = 99
     assert verify_certificate(doc) != []
+    # values that compare equal to the recomputed ones but are not them
+    doc = copy.deepcopy(base)
+    doc["obstructions"]["classes"][0].update(smallest_modulus=12.0, tuples_checked=144.0)
+    assert verify_certificate(doc) == [
+        "obstructions: class 0 stored modulus 12.0, recomputed 12"
+    ]
+    doc = copy.deepcopy(base)
+    doc["obstructions"]["classes"][0]["tuples_checked"] = 144.0
+    assert verify_certificate(doc) == [
+        "obstructions: class 0 tuple count does not recompute"
+    ]
+    doc = copy.deepcopy(base)
+    doc["replication"]["qr_law"]["holds"] = 1
+    assert verify_certificate(doc) == ["replication: tables do not recompute"]
 
 
 @pytest.mark.parametrize(

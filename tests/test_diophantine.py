@@ -9,12 +9,9 @@ from hypothesis import strategies as st
 from selli_cert import diophantine
 from selli_cert.diophantine import (
     DioParams,
-    Mod4Tables,
     bounded_search,
     eval_lhs,
-    mod4_obstruction,
     obstruction_sweep,
-    parity_claim_check,
     qr_law_check,
     tuples_checked,
     validate_dio_params,
@@ -163,22 +160,6 @@ def test_search_box_300_matches_pair_loop(triple):
         expected = _pair_solutions(params.a, b, params.d1, params.d2, 300)
         assert _search(params.a, b, params.d1, params.d2, 300) == expected
     assert (2, -250, 299) in expected
-
-
-def test_mod4_tables():
-    t = mod4_obstruction()
-    assert t.squares_attained == (0, 1)
-    assert t.sum_attained == (0, 1, 2)
-    assert t.sum_obstructs_3
-    assert t.diff_attained == (0, 1, 3)
-    assert not t.diff_obstructs_3  # 3 = 0 - 1 mod 4 is attained
-    assert len(t.sum_table) == 16 and len(t.diff_table) == 16
-
-
-def test_parity_table():
-    t = parity_claim_check()
-    assert t.solutions == ((0, 0),)
-    assert t.only_origin
 
 
 def test_qr_law_holds():

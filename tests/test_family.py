@@ -175,14 +175,14 @@ def test_y_candidates_divisibility_is_signed_exact():
     prof = discriminant_profile(validate_params(13, 1, 3, 10), "standard")
     cs = y_candidates(prof)
     for rec in cs.candidates:
-        assert rec.passes_divisibility == (rec.delta_value % rec.y**10 == 0)
-        assert rec.delta_value == delta_of_y(prof, rec.y)
+        assert rec["passes"] == (rec["delta"] % rec["y"] ** 10 == 0)
+        assert rec["delta"] == delta_of_y(prof, rec["y"])
 
 
 def test_y_candidates_symmetric_box():
     for args in [(13, 1, 3, 10), (37, 1, 3, 10), (25, 2, 3, 14)]:
         cs = y_candidates(discriminant_profile(validate_params(*args), "standard"))
-        ys = [r.y for r in cs.candidates]
+        ys = [r["y"] for r in cs.candidates]
         assert ys == sorted(ys)
         assert set(ys) == {y for y in range(-cs.y_max, cs.y_max + 1) if y != 0}
 
@@ -230,12 +230,12 @@ def test_elimination_polynomial_convention():
 
 def test_eliminate_points_examples():
     p13 = validate_params(13, 1, 3, 10)
-    recs = eliminate_points(p13, y_candidates(discriminant_profile(p13)))
+    recs = eliminate_points(p13, y_candidates(discriminant_profile(p13)).surviving)
     assert [(r.y0, r.eliminated) for r in recs] == [(-1, True), (1, True)]
 
     p25 = validate_params(25, 2, 3, 14)
     recs = eliminate_points(
-        p25, y_candidates(discriminant_profile(p25, "paper-ex2")), "paper-ex2"
+        p25, y_candidates(discriminant_profile(p25, "paper-ex2")).surviving, "paper-ex2"
     )
     by_y0 = {r.y0: r for r in recs}
     assert by_y0[-1].eliminated
