@@ -407,14 +407,9 @@ def test_dio_certificate_shape():
 
 
 def test_replication_evidence():
+    # the mod-4 and parity entries are pinned in test_diophantine
     block, discrepancies = replication_evidence(200)
-    assert block["squares_mod4"] == {"attained": [0, 1]}
-    assert block["sum_mod4"] == {"attained": [0, 1, 2], "claim_obstructs_3": True, "matches": True}
-    # 3 = 0 - 1 mod 4 is attained, so the difference-table claim diverges
-    assert block["diff_mod4"] == {
-        "attained": [0, 1, 3], "claim_obstructs_3": True, "matches": False
-    }
-    assert block["parity"] == {"solutions": [[0, 0]], "claim_only_origin": True, "matches": True}
+    assert set(block) == {"squares_mod4", "sum_mod4", "diff_mod4", "parity", "qr_law"}
     assert block["qr_law"] == {
         "prime_bound": 200, "holds": True, "claim_holds": True, "matches": True
     }

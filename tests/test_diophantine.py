@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selli_cert import diophantine
+from selli_cert.certificates import replication_evidence
 from selli_cert.diophantine import (
     DioParams,
     bounded_search,
@@ -160,6 +161,21 @@ def test_search_box_300_matches_pair_loop(triple):
         expected = _pair_solutions(params.a, b, params.d1, params.d2, 300)
         assert _search(params.a, b, params.d1, params.d2, 300) == expected
     assert (2, -250, 299) in expected
+
+
+def test_mod4_tables():
+    block, _ = replication_evidence(200)
+    assert block["squares_mod4"] == {"attained": [0, 1]}
+    assert block["sum_mod4"] == {"attained": [0, 1, 2], "claim_obstructs_3": True, "matches": True}
+    # 3 = 0 - 1 mod 4 is attained, so the difference-table claim diverges
+    assert block["diff_mod4"] == {
+        "attained": [0, 1, 3], "claim_obstructs_3": True, "matches": False
+    }
+
+
+def test_parity_table():
+    block, _ = replication_evidence(200)
+    assert block["parity"] == {"solutions": [[0, 0]], "claim_only_origin": True, "matches": True}
 
 
 def test_qr_law_holds():
