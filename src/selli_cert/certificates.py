@@ -390,8 +390,9 @@ def build_dio_certificate(
     come from `replication_evidence`; `verify` rebuilds all three through
     this function.
     """
-    solutions = tuple(bounded_search(params, box))
+    # the sweep refuses an unaffordable bound before any work, so it runs first
     sweep = obstruction_sweep(params, modulus_bound)
+    solutions = tuple(bounded_search(params, box))
     replication, discrepancies = replication_evidence(qr_bound)
     return DioCertificate(
         params=params,

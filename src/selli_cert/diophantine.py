@@ -12,21 +12,12 @@ The bounded search solves for z by the quadratic formula, so it visits
 (x, y) pairs; a square sieve on the discriminant (modulo 64 and a few small
 moduli) discards almost every pair with numpy before the exact isqrt test.
 
-An obstruction certificate is a modulus M and an x-class (r, c) with c | M
-such that no (x, y, z) in (Z/M)^3 with x = r (mod c) satisfies the
-congruence; any integer solution with x = r (mod c) would reduce to one,
-so the class is proved empty.  The engine certifies per class because the
-underlying case analysis varies its modulus case by case; no single
-uniform modulus is expected to exist.
-
-The class is certified empty through the prime-power factors q = p^e || M
-and CRT.  For fixed x, the congruence is solvable mod M exactly when it is
-solvable mod every q, and the x-class is the product over q of the classes
-x = r (mod gcd(c, q)).  So the class is empty mod M exactly when, for some
-single q, no x = r (mod gcd(c, q)) is solvable mod q.  Each q is settled
-once by the search's own question: is the discriminant
-D = (xy)^2 + 4(a*x^d1 - y^d2 - b) a square, here modulo 4q, for some y?
-That is O(q^2) steps (see `_solvable_flags`); (Z/M)^3 is never enumerated.
+An obstruction certificate closes a class r of x mod 12 at a modulus M: no
+(x, y, z) in (Z/M)^3 with x = r (mod 12) solves the congruence, so no
+integer solution lies in the class.  The least such M is lcm(12, q) for
+the first prime power q that empties the class (see `obstruction_sweep`);
+each q is settled in O(q^2) steps by the search's own question, whether
+D = (xy)^2 + 4(a*x^d1 - y^d2 - b) is a square mod 4q for some y.
 """
 
 from __future__ import annotations
@@ -36,7 +27,7 @@ from math import gcd, isqrt, prod
 
 import numpy as np
 
-from .arith import factorize, primes_upto
+from .arith import primes_upto
 from .errors import BudgetExceededError, HypothesisError, ParameterError
 
 __all__ = [
@@ -46,6 +37,7 @@ __all__ = [
     "eval_lhs",
     "bounded_search",
     "obstruction_sweep",
+    "sweep_plan",
     "tuples_checked",
     "qr_law_check",
 ]
@@ -215,34 +207,6 @@ def _solvable_flags(a: int, b: int, d1: int, d2: int, modulus: int) -> list[bool
     return _square_table(4 * q)[disc].any(axis=1).tolist()
 
 
-def _class_obstructed(
-    params: DioParams,
-    modulus: int,
-    residue_class: tuple[int, int],
-    cache: dict[int, list[bool]],
-) -> bool:
-    """Is no x = r (mod c) solvable mod `modulus`?  Requires c | modulus.
-
-    By CRT the class is empty mod M exactly when some prime power q || M
-    leaves no x = r (mod gcd(c, q)) solvable mod q, that is, no such x
-    and y make the discriminant of the quadratic in z a square mod 4q.
-    `cache` maps q to its flags for one parameter set, so a sweep builds
-    each q's table once.
-    """
-    r, c = residue_class
-    for p, e in factorize(modulus).items():
-        q = p**e
-        flags = cache.get(q)
-        if flags is None:
-            flags = cache[q] = _solvable_flags(
-                params.a, params.b, params.d1, params.d2, q
-            )
-        step = gcd(c, q)
-        if not any(flags[r % step :: step]):
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class SweepResult:
     modulus_bound: int
@@ -256,29 +220,66 @@ def tuples_checked(modulus: int | None) -> int | None:
     return None if modulus is None else (modulus // 12) * modulus * modulus
 
 
-def obstruction_sweep(params: DioParams, modulus_bound: int) -> SweepResult:
-    """Per residue class r mod 12, the smallest certifying modulus.
+# The sweep builds one q x q table per prime power q it reads, about 25 ns
+# a cell on a 2-core x86 VM: modulus bound 360 costs 1.6e4 cells, 11,520
+# costs 5.6e7 (1.45 s, 112 MB RSS).  A plan priced above this is refused.
+_SWEEP_CELL_BUDGET = 6 * 10**7
 
-    Moduli run over multiples of 12 up to the bound, ascending, so the
-    reported modulus is minimal among them; classes with no certificate in
-    range get None.  Deterministic by construction (fixed iteration order,
-    exhaustive per-prime-power evidence shared across moduli).
+
+def sweep_plan(modulus_bound: int) -> list[tuple[int, int]]:
+    """(lcm(12, q), q), ascending, for the prime powers q = 4, 8, ...;
+    3, 9, ...; p, p^2, ... (p >= 5) with lcm(12, q) <= modulus_bound.
+
+    Priced at the sum of q^2 and refused above `_SWEEP_CELL_BUDGET` before
+    any table is built.  Past 12 * sqrt(budget) the power of 2 in the plan
+    alone passes the budget, so no prime beyond that is sieved.
+    """
+    plan = []
+    for p in primes_upto(max(3, min(modulus_bound // 12, isqrt(_SWEEP_CELL_BUDGET)))):
+        q = 4 if p == 2 else p
+        while (modulus := 12 * q // gcd(12, q)) <= modulus_bound:
+            plan.append((modulus, q))
+            q *= p
+    cells = sum(q * q for _, q in plan)
+    if cells > _SWEEP_CELL_BUDGET:
+        raise BudgetExceededError(
+            f"obstruction sweep to modulus {modulus_bound} needs at least {cells} "
+            f"table cells; the budget is {_SWEEP_CELL_BUDGET}"
+        )
+    return sorted(plan)
+
+
+def obstruction_sweep(params: DioParams, modulus_bound: int) -> SweepResult:
+    """Per class r mod 12, the least multiple M of 12 up to the bound
+    modulo which no x = r (mod 12) is solvable, or None.
+
+    One pass over `sweep_plan`: while a class is pending, q's table is
+    built once, and each pending r with no solvable x = r (mod gcd(12, q))
+    closes at lcm(12, q).  That is the least M:
+    - a solution mod p^(e+1) reduces to one mod p^e, so a class emptied by
+      p^e stays empty for every higher power of p;
+    - by CRT, a class is empty mod M (12 | M) iff some q || M empties it;
+    - q || lcm(12, q) for each q in the plan, and q || M gives
+      lcm(12, q) | M, so the least such M is the minimum of lcm(12, q)
+      over the prime powers q that empty the class.
     """
     best: list[int | None] = [None] * 12
-    cache: dict[int, list[bool]] = {}
-    for modulus in range(12, modulus_bound + 1, 12):
+    for modulus, q in sweep_plan(modulus_bound):
         pending = [r for r in range(12) if best[r] is None]
         if not pending:
             break
+        flags = _solvable_flags(params.a, params.b, params.d1, params.d2, q)
+        step = gcd(12, q)
         for r in pending:
-            if _class_obstructed(params, modulus, (r, 12), cache):
+            if not any(flags[r % step :: step]):
                 best[r] = modulus
     return SweepResult(modulus_bound=modulus_bound, smallest_modulus=tuple(best))
 
 
-# qr_law_check multiplies residues below the bound in int64; 3037000499 is
-# the largest n with n^2 < 2^63.
-_QR_INT64_BOUND = 3_037_000_500
+# qr_law_check's sieve, prime list and arrays take about 4 bytes per integer
+# up to its bound, 0.2 GB at this cap.  The cap also keeps every product of
+# two residues below 2^63 (3037000499 is the largest n with n^2 < 2^63).
+_QR_SIEVE_BOUND = 5 * 10**7
 
 
 def qr_law_check(prime_bound: int) -> bool:
@@ -287,16 +288,13 @@ def qr_law_check(prime_bound: int) -> bool:
     Euler's criterion, 3^((p-1)/2) mod p, by square-and-multiply over the
     exponent bits for all sieved primes at once (they are prime, so no
     primality test is due).  Every product is of two residues below
-    p <= prime_bound, so it stays below 2^63 while prime_bound is below
-    `_QR_INT64_BOUND`; larger bounds are refused.
+    p <= prime_bound, so it stays below 2^63.  Bounds past
+    `_QR_SIEVE_BOUND` are refused before anything is allocated.
     """
     if prime_bound < 5:
         raise ParameterError("prime_bound must be >= 5")
-    if prime_bound >= _QR_INT64_BOUND:
-        raise BudgetExceededError(
-            f"qr bound {prime_bound} would overflow int64 products; "
-            f"the limit is {_QR_INT64_BOUND}"
-        )
+    if prime_bound > _QR_SIEVE_BOUND:
+        raise BudgetExceededError(f"qr bound {prime_bound} exceeds the cap {_QR_SIEVE_BOUND}")
     p = np.array(primes_upto(prime_bound)[2:], dtype=np.int64)
     exponent = (p - 1) // 2
     power = np.ones_like(p)

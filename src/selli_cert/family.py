@@ -54,6 +54,9 @@ ASSUMPTION_NL = "NL-property-C1"
 ASSUMPTION_INFINITY = "INFINITY-MODEL"
 ASSUMPTION_GENUS = "GENUS-USER"
 
+# Why y = 0 is never a candidate; certificates store it as `zero_reason`.
+ZERO_REASON = "Delta(f)(0) != 0 and 0^d2 divides only 0"
+
 
 @dataclass(frozen=True)
 class FamilyParams:
@@ -262,7 +265,7 @@ def y_candidates(profile: DiscriminantProfile, *, budget: int = 10**8) -> Candid
         boundary_y=witness,
         boundary_lhs=witness**d2,
         boundary_rhs=rhs,
-        zero_reason="Delta(f)(0) != 0 and 0^d2 divides only 0",
+        zero_reason=ZERO_REASON,
     )
 
 

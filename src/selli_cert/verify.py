@@ -14,18 +14,21 @@ included), and obstruction tables are re-enumerated for the twelve
 classes r = 0..11, listed once each in order.  y_max and each class's
 smallest modulus and tuple count must be JSON integers (or null for an
 open class), and the replication block must match as JSON text, so a
-float or a bool that compares equal fails.  The conclusion must be one of
-the three the tool emits.  A coprime-order pair must be two odd primes
-p1 < p2 whose ok records it repeats, in a scan that lists every prime up
-to its bound, under a genus that matches its stated source; every count
-adds the one point at infinity of the C_{d1,d2} model.  Work stays
-bounded by the document: a candidate box whose length is not 2*y_max, or
-a prime bound too large for the number of records, fails before anything
-is enumerated, and elimination records that do not list exactly the
-recomputed survivors, in order, fail before any polynomial is solved.
-Any mismatch, or a missing or mistyped field, is reported as a failure
-naming the offending block; an empty failure list means the certificate
-re-verifies.
+float or a bool that compares equal fails.  `timing` must be null, as
+schema selli-cert/1 fixes it, and `zero_reason` the family's one reason.
+The conclusion must be one of the three the tool emits, and a
+point-elimination conclusion carries no genus and no prime scan.  A
+coprime-order pair must be two odd primes p1 < p2 whose ok records it
+repeats, in a scan that lists every prime up to its bound, under a genus
+that matches its stated source; every count adds the one point at
+infinity of the C_{d1,d2} model.  Work stays bounded by the document: a
+candidate box whose length is not 2*y_max, or a prime bound too large for
+the number of records, or a modulus bound whose sweep exceeds its budget,
+fails before anything is enumerated, and elimination records that do not
+list exactly the recomputed survivors, in order, fail before any
+polynomial is solved.  Any mismatch, or a missing or mistyped field, is
+reported as a failure naming the offending block; an empty failure list
+means the certificate re-verifies.
 
 Deliberately not re-run: the raw field enumerations behind stored point
 counts (that is the emitting tool's work; the stored counts are instead
@@ -57,6 +60,7 @@ from .certificates import (
 from .diophantine import (  # noqa: F401
     bounded_search,
     obstruction_sweep,
+    sweep_plan,
     tuples_checked,
     validate_dio_params,
 )
@@ -65,6 +69,7 @@ from .family import (
     ASSUMPTION_GENUS,
     ASSUMPTION_INFINITY,
     ASSUMPTION_NL,
+    ZERO_REASON,
     FamilyParams,
     delta_of_y,
     discriminant_profile,
@@ -138,6 +143,10 @@ def _verify_torsion(doc: dict) -> list[str]:
         ):
             failures.append("boundary: growth witness does not re-check")
 
+        block = "zero_reason"
+        if doc["zero_reason"] != ZERO_REASON:
+            failures.append(f"zero_reason: stored {doc['zero_reason']!r}, expected {ZERO_REASON!r}")
+
         block = "candidates"
         records = doc["candidates"]
         # the length check comes first: y_max follows from the parameters,
@@ -192,11 +201,16 @@ def _verify_torsion(doc: dict) -> list[str]:
         block = "infinity_count"
         failures.extend(_verify_infinity_counts(doc))
 
+        block = "timing"
+        failures.extend(_verify_timing(doc))
+
         block = "conclusion"
         conclusion = doc["conclusion"]
         if conclusion == CONCLUSION_ELIMINATION:
             if not all_eliminated:
                 failures.append("conclusion: point-elimination claimed but a survivor has a rational point")
+            if doc["genus"] is not None or doc["prime_scan"] is not None:
+                failures.append("conclusion: point-elimination certificate carries a genus or a prime scan")
         elif conclusion == CONCLUSION_COPRIME:
             block = "prime_scan"
             failures.extend(_verify_coprime_block(doc, params))
@@ -207,6 +221,13 @@ def _verify_torsion(doc: dict) -> list[str]:
     except SelliCertError as exc:
         failures.append(f"{block}: cannot recompute ({exc})")
     return failures
+
+
+def _verify_timing(doc: dict) -> list[str]:
+    """Schema selli-cert/1 fixes `timing` at null: no wall time is recorded."""
+    if doc["timing"] is not None:
+        return [f"timing: stored {doc['timing']!r}, schema {SCHEMA} fixes it at null"]
+    return []
 
 
 def _verify_infinity_counts(doc: dict) -> list[str]:
@@ -323,6 +344,8 @@ def _verify_dio(doc: dict) -> list[str]:
             return [f"params: invalid ({exc})"]
         if params.b != p["b"]:
             failures.append("params: stored b does not match its construction")
+        block = "timing"
+        failures.extend(_verify_timing(doc))
 
         # The rebuild runs loops bounded by these three values, so each must
         # be an integer before anything is recomputed.
@@ -346,6 +369,9 @@ def _verify_dio(doc: dict) -> list[str]:
         if malformed:
             return failures + malformed
 
+        # the sweep is priced before the search runs
+        block = "obstructions"
+        sweep_plan(modulus_bound)
         block = "search"
         reference = build_dio_certificate(
             params, box=box, modulus_bound=modulus_bound, qr_bound=qr_bound

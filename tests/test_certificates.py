@@ -16,7 +16,8 @@ from selli_cert.certificates import (
     replication_evidence,
 )
 from selli_cert.diophantine import validate_dio_params
-from selli_cert import family
+from selli_cert import certificates, family
+from selli_cert.errors import BudgetExceededError
 from selli_cert.family import FamilyParams, elimination_polynomial, validate_params
 from selli_cert.jacobian import GENUS_USER, GenusSpec
 from selli_cert.verify import verify_certificate
@@ -141,6 +142,45 @@ def test_torsion_tamper_detected():
     ]
 
 
+def test_verify_rejects_fields_the_builder_never_writes():
+    torsion = torsion_doc(**default_build_kw())  # point-elimination conclusion
+    dio = build_dio_certificate(
+        validate_dio_params(13, 3, 2), modulus_bound=48, qr_bound=200
+    ).to_dict()
+    timing = "timing: stored {'wall_s': 1.0}, schema selli-cert/1 fixes it at null"
+    carries = "conclusion: point-elimination certificate carries a genus or a prime scan"
+    cases = [
+        (torsion, lambda doc: doc.update(timing={"wall_s": 1.0}), timing),
+        (dio, lambda doc: doc.update(timing={"wall_s": 1.0}), timing),
+        (
+            torsion,
+            lambda doc: doc.update(zero_reason="anything"),
+            f"zero_reason: stored 'anything', expected {family.ZERO_REASON!r}",
+        ),
+        (torsion, lambda doc: doc.update(genus={"g": 99, "source": "made-up"}), carries),
+        (
+            torsion,
+            lambda doc: doc.update(
+                prime_scan={"prime_bound": 2, "records": [], "certificate": None}
+            ),
+            carries,
+        ),
+        # missing keys read as malformed, as every other block does
+        (torsion, lambda doc: doc.pop("timing"), "timing: malformed (KeyError: 'timing')"),
+        (dio, lambda doc: doc.pop("timing"), "timing: malformed (KeyError: 'timing')"),
+        (
+            torsion,
+            lambda doc: doc.pop("zero_reason"),
+            "zero_reason: malformed (KeyError: 'zero_reason')",
+        ),
+    ]
+    for base, edit, message in cases:
+        assert verify_certificate(base) == []
+        doc = copy.deepcopy(base)
+        edit(doc)
+        assert verify_certificate(doc) == [message]
+
+
 def test_torsion_conclusion_and_convention_blocks_recomputed():
     base = torsion_doc(a=25, m=2, d1=3, d2=14, **default_build_kw())  # standard, m != 1
     assert verify_certificate(base) == []
@@ -195,6 +235,47 @@ def test_verify_box_check_is_bounded_by_the_document(tmp_path):
     assert run.returncode == 3, run.stderr
     assert "FAIL y_max: stored 5, recomputed 2735928361" in run.stderr
     assert "FAIL candidates: box does not list 0 < |y| <= y_max in order" in run.stderr
+
+
+def test_sweep_is_priced_before_the_search_and_the_rebuild(monkeypatch):
+    # the bound would build a table for every prime power up to 10^5; the
+    # builder refuses it before searching, verify reports it as a failure
+    # of the obstructions block
+    params = validate_dio_params(13, 3, 10)
+    doc = build_dio_certificate(params, modulus_bound=48).to_dict()
+    doc["obstructions"]["modulus_bound"] = 1_200_000
+    searched = []
+    monkeypatch.setattr(certificates, "bounded_search", lambda *args: searched.append(args))
+    with pytest.raises(BudgetExceededError):
+        build_dio_certificate(params, modulus_bound=1_200_000)
+    start = time.perf_counter()
+    failures = verify_certificate(doc)
+    assert time.perf_counter() - start < 1
+    assert len(failures) == 1
+    assert failures[0].startswith(
+        "obstructions: cannot recompute (obstruction sweep to modulus 1200000 needs at least"
+    )
+    assert searched == []
+
+
+def test_verify_qr_sieve_is_capped(tmp_path):
+    # qr_law.prime_bound = 3e9 passes the int64 limit but would sieve 3 GB,
+    # so the check runs in a child process under a 2 GiB address-space cap
+    doc = build_dio_certificate(validate_dio_params(13, 3, 10), modulus_bound=48).to_dict()
+    doc["replication"]["qr_law"]["prime_bound"] = 3 * 10**9
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(doc))
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 * 1024**3, resource.RLIM_INFINITY))\n"
+        "from selli_cert.cli import main\n"
+        "sys.exit(main(['verify', sys.argv[1]]))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(path)], capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 3, run.stderr
+    assert "cannot recompute (qr bound 3000000000 exceeds the cap" in run.stderr
 
 
 def test_verify_checks_coverage_before_solving_records(monkeypatch):

@@ -232,6 +232,19 @@ def test_y_candidates_box_over_budget_refused(capsys):
     assert "candidate box of 5471856722 values of y exceeds the budget 100000000" in stderr
 
 
+def test_sweep_over_budget_refused_before_any_table(capsys):
+    # classes 5 and 9 never close, so this sweep would build a table for
+    # every prime power up to 10^5; it is priced and refused instead
+    start = time.perf_counter()
+    code, stdout, stderr = run_cli(
+        capsys, "check-diophantine", "--a", "13", "--d1", "3", "--d2", "10",
+        "--modulus-bound", "1200000",
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, stdout) == (1, "")
+    assert "error: obstruction sweep to modulus 1200000 needs at least" in stderr
+
+
 def test_count_points(capsys):
     code, stdout, _ = run_cli(
         capsys, "count-points", "--curve", "y^2=x^3+1", "--p", "5"

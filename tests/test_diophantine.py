@@ -1,5 +1,5 @@
 import time
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -185,25 +185,28 @@ def test_qr_law_holds():
 
 
 def test_qr_law_refuses_bounds_past_int64():
-    # refused before the sieve allocates anything
-    with pytest.raises(BudgetExceededError):
-        qr_law_check(diophantine._QR_INT64_BOUND)
+    # refused before the sieve allocates anything: 3037000500^2 passes 2^63,
+    # and the sieve's memory cap lies far below it
+    for bound in (3_037_000_500, diophantine._QR_SIEVE_BOUND + 1):
+        with pytest.raises(BudgetExceededError):
+            qr_law_check(bound)
 
 
 def test_residue_obstruction_mod4():
     # x = 0 mod 2 certifies at modulus 4; x = 1 mod 4 does not
     for a, d1, d2 in PARAM_TRIPLES:
         params = validate_dio_params(a, d1, d2)
-        assert diophantine._class_obstructed(params, 4, (0, 2), {})
-        assert not diophantine._class_obstructed(params, 4, (1, 4), {})
+        flags = diophantine._solvable_flags(params.a, params.b, d1, d2, 4)
+        assert not flags[0] and not flags[2]
+        assert flags[1]
 
 
 def test_residue_obstruction_mod12_known_class():
     # at modulus 12 the only solvable x are 5 and 9; the class 5 mod 12
     # therefore does not certify
-    params = validate_dio_params(13, 3, 2)
-    assert not diophantine._class_obstructed(params, 12, (5, 12), {})
-    assert diophantine._class_obstructed(params, 12, (4, 12), {})
+    sweep = obstruction_sweep(validate_dio_params(13, 3, 2), 12)
+    assert sweep.smallest_modulus[5] is None
+    assert sweep.smallest_modulus[4] == 12
 
 
 def test_solvable_x_mod12_oracle():
@@ -229,29 +232,6 @@ def test_obstruction_sweep_all_triples():
         for r in range(12):
             count = tuples_checked(sweep.smallest_modulus[r])
             assert count == (None if r in (5, 9) else 12 * 12)
-
-
-def test_sweep_agrees_with_residue_obstruction():
-    params = validate_dio_params(13, 3, 2)
-    sweep = obstruction_sweep(params, 48)
-    for r in range(12):
-        obstructed = diophantine._class_obstructed(params, 12, (r, 12), {})
-        assert obstructed == (sweep.smallest_modulus[r] == 12)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from(PARAM_TRIPLES), st.sampled_from([12, 24, 36, 48]))
-def test_solvable_flags_match_bruteforce(triple, modulus):
-    a, d1, d2 = triple
-    params = validate_dio_params(a, d1, d2)
-    for r in range(0, modulus, 7):  # spot-check a spread of classes
-        obstructed = diophantine._class_obstructed(params, modulus, (r, modulus), {})
-        brute_solvable = any(
-            eval_lhs(params.a, params.b, d1, d2, r, y, z) % modulus == 0
-            for y in range(modulus)
-            for z in range(modulus)
-        )
-        assert obstructed != brute_solvable
 
 
 def _cube_solvable_x(a, b, d1, d2, modulus):
@@ -287,12 +267,11 @@ def test_solvable_flags_prime_powers_match_cube(q, abd):
     d1=st.integers(1, 8),
     d2=st.integers(1, 8),
     bound=st.integers(0, 120),
-    data=st.data(),
 )
-@example(a=13, b=101, d1=3, d2=2, bound=5, data=None)  # bound < 12
-@example(a=35, b=-125, d1=7, d2=2, bound=50, data=None)  # minimal modulus 24
-@example(a=-8, b=-72, d1=6, d2=4, bound=120, data=None)  # minimal moduli 48, 108
-def test_obstruction_engine_matches_cube_oracle(a, b, d1, d2, bound, data):
+@example(a=13, b=101, d1=3, d2=2, bound=5)  # bound < 12
+@example(a=35, b=-125, d1=7, d2=2, bound=50)  # minimal modulus 24
+@example(a=-8, b=-72, d1=6, d2=4, bound=120)  # minimal moduli 48, 108
+def test_obstruction_engine_matches_cube_oracle(a, b, d1, d2, bound):
     params = DioParams(a=a, b=b, d1=d1, d2=d2)
     expected: list[int | None] = [None] * 12
     for modulus in range(12, bound + 1, 12):
@@ -306,17 +285,46 @@ def test_obstruction_engine_matches_cube_oracle(a, b, d1, d2, bound, data):
     for r, M in enumerate(expected):
         assert tuples_checked(M) == (None if M is None else (M // 12) * M * M)
 
-    if data is None:
-        return
-    modulus = data.draw(st.integers(1, 120), label="modulus")
-    c = data.draw(
-        st.sampled_from([c for c in range(1, modulus + 1) if modulus % c == 0]),
-        label="c",
-    )
-    r = data.draw(st.integers(-modulus, modulus), label="r")
-    solvable = _cube_solvable_x(a, b, d1, d2, modulus)
-    obstructed = diophantine._class_obstructed(params, modulus, (r, c), {})
-    assert obstructed != any(x % c == r % c for x in solvable)
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.integers(-40, 40),
+    b=st.integers(-300, 300),
+    d1=st.integers(1, 8),
+    d2=st.integers(1, 8),
+    q=st.sampled_from([2, 4, 8, 16, 32, 3, 9, 27, 5, 25, 7, 49, 11, 13]),
+)
+def test_solvable_flags_persist_to_lower_powers(a, b, d1, d2, q):
+    # the sweep closes a class at the first power of p that empties it,
+    # because a solution mod p^(e+1) reduces to one mod p^e
+    p = min(f for f in range(2, q + 1) if q % f == 0)
+    below = diophantine._solvable_flags(a, b, d1, d2, q)
+    above = diophantine._solvable_flags(a, b, d1, d2, p * q)
+    assert all(below[x % q] for x, ok in enumerate(above) if ok)
+
+
+def test_sweep_plan_lists_each_prime_power_once():
+    # lcm(12, q) is 3q for powers of 2, 4q for powers of 3 and 12q otherwise
+    plan = diophantine.sweep_plan(360)
+    assert plan == sorted(plan)
+    assert sorted(q for _, q in plan) == [
+        3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 32, 64, 81
+    ]
+    assert all(modulus == 12 * q // gcd(12, q) <= 360 for modulus, q in plan)
+    assert sum(q * q for _, q in plan) == 15845
+    assert diophantine.sweep_plan(11) == []
+
+
+def test_sweep_refuses_past_its_budget_before_any_table(monkeypatch):
+    tables = []
+    monkeypatch.setattr(diophantine, "_solvable_flags", lambda *args: tables.append(args))
+    params = validate_dio_params(13, 3, 10)
+    for bound in (1_200_000, 10**30):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="obstruction sweep"):
+            obstruction_sweep(params, bound)
+        assert time.perf_counter() - start < 1
+    assert tables == []
 
 
 def test_sweep_pinned_large_minimal_moduli():
