@@ -10,6 +10,15 @@ of u^d2 - gamma^j*u, built from discrete-log tables of F_q*.  Both kernels
 do O(q) vectorized field operations, and an independent, deliberately
 naive oracle is kept in the test suite.
 
+Field data is built once per process: `find_irreducible` and the discrete-log
+tables (`_log_tables`) are memoized per field, the tables read-only and
+held in an LRU cache of at most FIELD_TABLE_CACHE_BYTES, so a process that
+counts many curves over the same F_{p^k} builds its modulus, primitive root
+and tables once.  A field whose tables alone exceed the cap is built for
+its count and not kept.  Every count is priced (q without the mixed term,
+q^2 with it) before any table is built, and `build_count_table` prices
+every degree of its table before it counts any of them.
+
 Extension elements are coefficient vectors against a deterministic modulus:
 the lexicographically smallest monic irreducible of degree k, where tuples
 (c_{k-1}, ..., c_0) are compared most-significant coefficient first.  An
@@ -26,7 +35,10 @@ thread count.  The mixed-term count runs in one thread.
 from __future__ import annotations
 
 import re
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -51,6 +63,9 @@ __all__ = [
 ]
 
 DEFAULT_COUNT_BUDGET = 10**8
+# Bytes of per-field exp/log tables kept between counts (LRU).  Prime-scan
+# fields hold a few kB each; F_{7^7} alone needs about 60 MB and is not kept.
+FIELD_TABLE_CACHE_BYTES = 16 * 2**20
 
 _MAX_P = 2**31
 
@@ -157,12 +172,14 @@ class ExtField:
         return self.base.p**self.k
 
 
+@lru_cache(maxsize=1024)
 def find_irreducible(p: int, k: int) -> ExtField:
     """Lexicographically smallest monic irreducible of degree k over F_p.
 
     Candidates x^k + c_{k-1} x^{k-1} + ... + c_0 are scanned in ascending
     lex order of (c_{k-1}, ..., c_0), which coincides with the numeric
-    order of sum c_i p^i.
+    order of sum c_i p^i.  Memoized: a field's modulus is found once per
+    process.
     """
     base = PrimeField(p)
     if k == 1:
@@ -361,12 +378,56 @@ def _primitive_root(field: ExtField) -> np.ndarray:
     raise AssertionError("F_q* is cyclic")
 
 
-def _log_tables(field: ExtField) -> tuple[np.ndarray, np.ndarray]:
-    """(exp, log): exp[i] = digits of gamma^i for 0 <= i < q-1, and
-    log[index of gamma^i] = i (log[0] is unused).
+class _TableCache:
+    """LRU of per-field tables, holding at most `cap` bytes of arrays."""
 
-    exp is built by doubling: rows [n, 2n) are rows [0, n) times gamma^n.
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.nbytes = 0
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key, build):
+        with self._lock:
+            tables = self._entries.get(key)
+            if tables is not None:
+                self._entries.move_to_end(key)
+                return tables
+        tables = build()
+        size = sum(a.nbytes for a in tables)
+        if size > self.cap:
+            return tables
+        with self._lock:
+            if key not in self._entries:
+                self._entries[key] = tables
+                self.nbytes += size
+            while self.nbytes > self.cap:
+                _, old = self._entries.popitem(last=False)
+                self.nbytes -= sum(a.nbytes for a in old)
+        return tables
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
+
+
+_FIELD_TABLES = _TableCache(FIELD_TABLE_CACHE_BYTES)
+
+
+def _log_tables(field: ExtField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(exp, log, exp_packed): exp[i] = digits of gamma^i for 0 <= i < q-1,
+    log[index of gamma^i] = i (log[0] is unused), and exp_packed[i] = index
+    of gamma^i.
+
+    Memoized per field in `_FIELD_TABLES`, so the arrays are shared and
+    read-only.  exp is built by doubling: rows [n, 2n) are rows [0, n)
+    times gamma^n.
     """
+    return _FIELD_TABLES.get(field, lambda: _build_log_tables(field))
+
+
+def _build_log_tables(field: ExtField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     p, k, q = field.base.p, field.k, field.q
     exp = np.zeros((1, k), dtype=np.int64)
     exp[0, 0] = 1
@@ -375,10 +436,13 @@ def _log_tables(field: ExtField) -> tuple[np.ndarray, np.ndarray]:
         shifted = _mul_rows(exp, np.broadcast_to(step, exp.shape), field)
         exp = np.concatenate([exp, shifted])
         step = _mul_rows(step, step, field)
-    exp = exp[: q - 1]
+    exp = exp[: q - 1].copy()  # own buffer, so nbytes is what the cache holds
+    exp_packed = _pack(exp, p)
     log = np.zeros(q, dtype=np.int64)
-    log[_pack(exp, p)] = np.arange(q - 1, dtype=np.int64)
-    return exp, log
+    log[exp_packed] = np.arange(q - 1, dtype=np.int64)
+    for table in (exp, log, exp_packed):
+        table.flags.writeable = False
+    return exp, log, exp_packed
 
 
 def _count_mixed(curve: CurveEquationModP, field: ExtField, m: int) -> int:
@@ -396,8 +460,7 @@ def _count_mixed(curve: CurveEquationModP, field: ExtField, m: int) -> int:
     p, k, q = field.base.p, field.k, field.q
     order = q - 1
     d2 = curve.d2 % order  # exponents of gamma live mod q - 1
-    exp, log = _log_tables(field)
-    exp_packed = _pack(exp, p)
+    exp, log, exp_packed = _log_tables(field)
     fx = _pack(_eval_f_rows(_element_digits(p, k, 0, q), curve.f_coefficients, field), p)
 
     logs = log[1:]  # log of every nonzero element, in index order
@@ -423,6 +486,21 @@ def _count_mixed(curve: CurveEquationModP, field: ExtField, m: int) -> int:
     return total
 
 
+def _price_count(curve: CurveEquationModP, q: int, budget: int) -> None:
+    """Refuse a count over F_q whose work figure exceeds the budget.
+
+    The figure is q (m = 0) or q^2 (m != 0).  The q^2 figure is the size of
+    the pair set (x, y) that the count decides, kept as the refusal measure
+    so that which counts are refused does not change; it is not the work
+    done.
+    """
+    work = q if curve.m % curve.p.p == 0 else q * q
+    if work > budget:
+        raise BudgetExceededError(
+            f"enumeration work {work} exceeds budget {budget} for q = {q}"
+        )
+
+
 def count_affine(
     curve: CurveEquationModP,
     field: ExtField,
@@ -437,24 +515,19 @@ def count_affine(
     (`_count_mixed`) the substitution y = lambda*u with lambda^(d2-1) =
     m*x/gamma^j moves every x != 0 onto one of g = gcd(d2-1, q-1)
     histograms of u^d2 - gamma^j*u, for O(q*(g + k^2*deg f)) work in one
-    thread.
+    thread, reading the field's log tables, which are built once per
+    process and shared by every count over the same field.
 
-    The budget bounds the work figure q (m = 0) or q^2 (m != 0), refusing
-    oversized requests up front.  The q^2 figure is the size of the pair set
-    (x, y) that the count decides, kept as the refusal measure so that which
-    counts are refused does not change; it is not the work done.
+    The count is priced (`_price_count`) and refused before any table is
+    built when its work figure exceeds the budget.
     """
     p = field.base.p
     if curve.p.p != p:
         raise ParameterError("curve and field characteristics differ")
     q = field.q
     k = field.k
+    _price_count(curve, q, budget)
     m = curve.m % p
-    work = q if m == 0 else q * q
-    if work > budget:
-        raise BudgetExceededError(
-            f"enumeration work {work} exceeds budget {budget} for q = {q}"
-        )
     if m != 0:
         return _count_mixed(curve, field, m)
 
@@ -495,7 +568,16 @@ def build_count_table(
     budget: int = DEFAULT_COUNT_BUDGET,
     threads: int = 1,
 ) -> PointCountTable:
-    """N_k for each k in ks, each with one point at infinity."""
+    """N_k for each k in ks, each with one point at infinity.
+
+    Every k is priced before any is counted, so a table whose top degree
+    is over budget costs no counting; the refusal names the first k in
+    `ks` over budget, as counting them in order would.
+    """
+    ks = tuple(ks)
+    reduced = CurveEquationModP.reduce(curve, p)
+    for k in ks:
+        _price_count(reduced, p**k, budget)
     entries = tuple(count_points(curve, p, k, budget=budget, threads=threads) for k in ks)
     return PointCountTable(entries=entries, infinity_count=1)
 

@@ -220,31 +220,34 @@ def find_certificate_primes(
     Each N_k counts the one point at infinity of the C_{d1,d2} model
     (gcd(d1, d2) = 1 under H1-H2); certificates tag this INFINITY-MODEL.
     Primes failing the characteristic guard or the smoothness test are
-    skipped with a recorded reason, as are primes whose enumeration exceeds
-    the budget.  Among computed orders, the first pair (p1, p2) in
-    lexicographic order with gcd 1 forms the certificate; exhausting the
+    skipped with a recorded reason, as are primes whose smoothness scan or
+    count table exceeds the budget, checked in that order.  The table is
+    priced for every k = 1..g before any k is counted (`build_count_table`),
+    so a prime whose top k is refused costs no counting, and each field's
+    tables are built once per process.  Among computed orders, the first
+    pair (p1, p2) in lexicographic order with gcd 1 forms the certificate; exhausting the
     bound without one is a neutral NOT_FOUND outcome (certificate None),
     not an error.
     """
     records: list[PrimeOrderRecord] = []
     for p in primes_upto(prime_bound):
         reduced = CurveEquationModP.reduce(curve, p)
-        smooth = is_smooth_mod_p(reduced, budget=budget)
-        if not smooth.smooth:
-            reason = smooth.reason or "not smooth"
-            if smooth.witness is not None:
-                reason += f" at {smooth.witness}"
+        reason = None
+        try:
+            smooth = is_smooth_mod_p(reduced, budget=budget)
+            if smooth.smooth:
+                counts = build_count_table(
+                    curve, p, range(1, genus.g + 1), budget=budget, threads=threads
+                )
+            else:
+                reason = smooth.reason or "not smooth"
+                if smooth.witness is not None:
+                    reason += f" at {smooth.witness}"
+        except BudgetExceededError as exc:
+            reason = str(exc)
+        if reason is not None:
             records.append(
                 PrimeOrderRecord(p=p, status="skipped", reason=reason, order=None, counts=None)
-            )
-            continue
-        try:
-            counts = build_count_table(
-                curve, p, range(1, genus.g + 1), budget=budget, threads=threads
-            )
-        except BudgetExceededError as exc:
-            records.append(
-                PrimeOrderRecord(p=p, status="skipped", reason=str(exc), order=None, counts=None)
             )
             continue
         lpoly = l_polynomial_from_counts(p, genus, counts)

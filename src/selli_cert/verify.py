@@ -233,13 +233,17 @@ def _verify_timing(doc: dict) -> list[str]:
 def _verify_infinity_counts(doc: dict) -> list[str]:
     """Every count must add the one point at infinity of the C_{d1,d2} model.
 
-    The top-level infinity_count is null (no prime scan ran) or 1, and so
-    is every point-count table in the scan.
+    The top-level infinity_count is null when no prime scan ran and the
+    JSON integer 1 when one did, and every point-count table in the scan
+    counts 1.
     """
     scan = doc["prime_scan"]
     failures = []
-    if doc["infinity_count"] not in (None, 1):
-        failures.append(f"infinity_count: stored {doc['infinity_count']!r}, expected null or 1")
+    stored, expected = doc["infinity_count"], None if scan is None else 1
+    if type(stored) is not type(expected) or stored != expected:
+        failures.append(
+            f"infinity_count: stored {stored!r}, expected {json.dumps(expected)}"
+        )
     if scan is not None:
         tables = [r["counts"] for r in scan["records"]]
         if scan["certificate"] is not None:

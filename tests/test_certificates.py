@@ -16,7 +16,7 @@ from selli_cert.certificates import (
     replication_evidence,
 )
 from selli_cert.diophantine import validate_dio_params
-from selli_cert import certificates, family
+from selli_cert import certificates, family, ffield
 from selli_cert.errors import BudgetExceededError
 from selli_cert.family import FamilyParams, elimination_polynomial, validate_params
 from selli_cert.jacobian import GENUS_USER, GenusSpec
@@ -140,6 +140,13 @@ def test_torsion_tamper_detected():
     assert verify_certificate(doc) == [
         "surviving: stored list does not match recomputed survivors"
     ]
+    # no prime scan ran, so no point at infinity was counted
+    for forged in (1, True):
+        doc = copy.deepcopy(base)
+        doc["infinity_count"] = forged
+        assert verify_certificate(doc) == [
+            f"infinity_count: stored {forged!r}, expected null"
+        ], forged
 
 
 def test_verify_rejects_fields_the_builder_never_writes():
@@ -160,8 +167,10 @@ def test_verify_rejects_fields_the_builder_never_writes():
         (torsion, lambda doc: doc.update(genus={"g": 99, "source": "made-up"}), carries),
         (
             torsion,
+            # infinity_count agrees with the scan, so only the conclusion check objects
             lambda doc: doc.update(
-                prime_scan={"prime_bound": 2, "records": [], "certificate": None}
+                prime_scan={"prime_bound": 2, "records": [], "certificate": None},
+                infinity_count=1,
             ),
             carries,
         ),
@@ -341,6 +350,32 @@ def test_infinity_counts_are_one_point():
         assert message in " | ".join(verify_certificate(doc)), message
 
 
+def test_scan_certificate_bytes_do_not_depend_on_earlier_fields():
+    def scan_json(a, d2, genus, bound):
+        cert = build_torsion_certificate(
+            validate_params(a, 2, 3, d2),
+            "paper-ex2",
+            genus=GenusSpec(g=genus, source=GENUS_USER),
+            prime_bound=bound,
+            budget=10**7,
+        )
+        return canonical_json(cert.to_dict())
+
+    def clear_caches():
+        ffield.find_irreducible.cache_clear()
+        ffield._FIELD_TABLES.clear()
+
+    clear_caches()
+    scan_json(613, 10, 3, 12)  # fills the caches with F_{p^k}, p <= 11, k <= 3
+    held = ffield._FIELD_TABLES.nbytes
+    warm = scan_json(25, 14, 2, 12)  # counts over F_11 and F_121 only
+    assert ffield._FIELD_TABLES.nbytes == held  # no new field: B read A's tables
+    clear_caches()
+    cold = scan_json(25, 14, 2, 12)
+    assert warm == cold
+    assert '"status": "ok"' in cold  # B counted points
+
+
 @pytest.mark.parametrize("a, d1, d2, code", [(14, 3, 10, "H3"), (13, 4, 10, "H1"), (13, 3, 12, "H2")])
 def test_verify_revalidates_family_hypotheses(a, d1, d2, code):
     # built from raw FamilyParams, so nothing validated them on the way in
@@ -367,6 +402,7 @@ def _graft_coprime_block(doc):
     doc = copy.deepcopy(doc)
     doc["conclusion"] = CONCLUSION_COPRIME
     doc["genus"] = {"g": 1, "source": GENUS_USER}
+    doc["infinity_count"] = 1  # a scanned certificate counts one point at infinity
     doc["assumptions"] = sorted(doc["assumptions"] + ["GENUS-USER", "INFINITY-MODEL"])
     skipped = {"status": "skipped", "reason": "characteristic guard", "order": None, "counts": None}
     doc["prime_scan"] = {

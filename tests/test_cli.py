@@ -263,6 +263,23 @@ def test_count_points_budget_exit(capsys):
     assert "budget" in stderr
 
 
+def test_smoothness_scan_over_budget_skips_the_prime(capsys, tmp_path):
+    out = tmp_path / "torsion.json"
+    code, _, stderr = run_cli(
+        capsys,
+        "analyze-curve", "--a", "25", "--m", "2", "--d1", "3", "--d2", "26",
+        "--convention", "paper-ex2", "--genus", "2", "--prime-bound", "13",
+        "--budget", "100", "--out", str(out),
+    )
+    assert code == 2, stderr
+    records = {r["p"]: r for r in json.loads(out.read_text())["prime_scan"]["records"]}
+    assert (records[11]["status"], records[11]["reason"]) == (
+        "skipped", "smoothness scan p^2 = 121 exceeds budget 100"
+    )
+    assert records[13]["reason"].startswith("characteristic guard")  # guard first
+    assert run_cli(capsys, "verify", str(out))[0] == 0
+
+
 def test_jacobian_order(capsys):
     code, stdout, _ = run_cli(
         capsys, "jacobian-order", "--p", "11", "--g", "2", "--counts", "19,135"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from selli_cert import ffield
 from selli_cert.errors import BudgetExceededError, ParameterError
 from selli_cert.ffield import (
     CurveEquation,
@@ -188,10 +189,64 @@ def test_log_tables_cover_the_group(pk):
 
     field = find_irreducible(*pk)
     q = field.q
-    exp, log = _log_tables(field)
+    exp, log, exp_packed = _log_tables(field)
     packed = _pack(exp, field.base.p)
+    assert (exp_packed == packed).all()
     assert sorted(packed.tolist()) == list(range(1, q))
     assert (log[packed] == list(range(q - 1))).all()
+
+
+def test_field_data_is_built_once():
+    field = find_irreducible(13, 2)
+    assert find_irreducible(13, 2) is field
+    tables = ffield._log_tables(field)
+    assert ffield._log_tables(find_irreducible(13, 2)) is tables
+
+
+def test_cached_tables_are_read_only():
+    exp, log, exp_packed = ffield._log_tables(find_irreducible(7, 2))
+    for table, index in ((exp, (0, 0)), (log, 1), (exp_packed, 0)):
+        with pytest.raises(ValueError):
+            table[index] = 0
+    # the tables a count reads are still the group's
+    assert sorted(exp_packed.tolist()) == list(range(1, 49))
+
+
+def test_table_cache_holds_at_most_its_cap(monkeypatch):
+    build = ffield._build_log_tables
+    built = []
+
+    def counting_build(field):
+        built.append((field.base.p, field.k))
+        return build(field)
+
+    def size(pk):
+        return sum(t.nbytes for t in build(find_irreducible(*pk)))
+
+    fields = [(3, 4), (5, 3), (7, 3), (11, 2), (13, 2), (2, 7)]
+    cap = 2 * max(size(pk) for pk in fields)
+    assert sum(size(pk) for pk in fields) > cap
+    cache = ffield._TableCache(cap)
+    monkeypatch.setattr(ffield, "_FIELD_TABLES", cache)
+    monkeypatch.setattr(ffield, "_build_log_tables", counting_build)
+    for pk in fields:
+        ffield._log_tables(find_irreducible(*pk))
+        assert 0 < cache.nbytes <= cap, pk
+    assert built == fields
+    # the most recent field is still held; the oldest was evicted and is rebuilt
+    ffield._log_tables(find_irreducible(*fields[-1]))
+    assert built == fields
+    ffield._log_tables(find_irreducible(*fields[0]))
+    assert built == fields + [fields[0]]
+    assert cache.nbytes <= cap
+
+    # a field whose tables alone exceed the cap is built but not kept
+    held = cache.nbytes
+    big = find_irreducible(5, 6)
+    assert sum(t.nbytes for t in ffield._log_tables(big)) > cap
+    assert cache.nbytes == held
+    ffield._log_tables(big)
+    assert built[-2:] == [(5, 6), (5, 6)]
 
 
 def test_legendre_sum_oracle():
@@ -248,8 +303,10 @@ def test_count_matches_naive_oracle(pk, d2, f_coeffs, m):
     curve = CurveEquation(d2=d2, f_coefficients=tuple(f_coeffs), m=m)
     field = find_irreducible(p, k)
     reduced = CurveEquationModP.reduce(curve, p)
-    got = count_affine(reduced, field)
-    assert got == naive_affine_count(reduced, field)
+    expected = naive_affine_count(reduced, field)
+    ffield._FIELD_TABLES.clear()
+    assert count_affine(reduced, field) == expected  # builds the field's tables
+    assert count_affine(reduced, field) == expected  # reads them from the cache
 
 
 def test_smoothness_good_and_bad():

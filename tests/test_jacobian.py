@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selli_cert import ffield
 from selli_cert.errors import (
+    BudgetExceededError,
     NonIntegerCoefficientError,
     ParameterError,
     WeilViolationError,
@@ -165,3 +167,29 @@ def test_find_certificate_primes_prefers_first_pair():
     genus = GenusSpec(g=1, source=GENUS_USER)
     scan = find_certificate_primes(ec, genus, 50)
     assert (scan.certificate.p1, scan.certificate.p2) == (5, 7)
+
+
+def test_over_budget_table_is_refused_before_any_count(monkeypatch):
+    calls = []
+    count_affine = ffield.count_affine
+
+    def counting(curve, field, **kw):
+        calls.append((field.base.p, field.k))
+        return count_affine(curve, field, **kw)
+
+    monkeypatch.setattr(ffield, "count_affine", counting)
+    # y^14 = 25x^3 + x*y - 201 (paper-ex2 member (25, 2, 3, 14)): at p = 11
+    # k = 1, 2 fit the budget and k = 3 does not (q^2 = 1331^2 > 10^6)
+    curve = CurveEquation.parse("y^14=25x^3+x*y-201")
+    reason = "enumeration work 1771561 exceeds budget 1000000 for q = 1331"
+    with pytest.raises(BudgetExceededError) as refused:
+        build_count_table(curve, 11, range(1, 4), budget=10**6)
+    assert (str(refused.value), calls) == (reason, [])
+
+    scan = find_certificate_primes(curve, GenusSpec(g=3, source=GENUS_USER), 11, budget=10**6)
+    record = {r.p: r for r in scan.records}[11]
+    assert (record.status, record.reason) == ("skipped", reason)
+    assert calls == []
+    # within budget the same table is counted, one call per k
+    build_count_table(curve, 11, range(1, 3), budget=10**6)
+    assert calls == [(11, 1), (11, 2)]
