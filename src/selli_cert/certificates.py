@@ -11,15 +11,17 @@ kinds write `"timing": null`: schema selli-cert/1 fixes that key, and no
 wall time is ever recorded, so output is byte-reproducible.
 
 Every block that `verify` recomputes has one producer here, shared by the
-builder and the verifier: `profile_block`, `elimination_list`,
-`convention_evidence` and `replication_evidence`.
+builder and the verifier: `params_block`, `profile_block`,
+`elimination_list`, `convention_evidence` and `replication_evidence`.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from math import gcd
 
 from . import __version__
@@ -66,10 +68,100 @@ DEFAULT_QR_BOUND = 10**4
 
 
 def canonical_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The certificate bytes: `json.dumps(doc, sort_keys=True, indent=2) + "\\n"`.
+
+    That call takes the stdlib's pure-Python encoder, because an indent
+    rules out its C encoder.  Here every container whose children are all
+    scalars is written by one call of the C encoder, with ",\\n" plus the
+    children's indent as its item separator, and then wrapped in its
+    opening line and its closing bracket.  A list of non-empty such dicts
+    is one call too, at the dicts' own indent; each "},\\n" + indent + "{"
+    between two records is then rewritten to the list's indent.  That
+    rewrite is safe because the C encoder escapes every newline inside a
+    string, so each newline comes from a separator, and a "}" right before
+    one closes a dict.  Only containers nested deeper are walked here.
+
+    Keys must be strings where a container is walked (certificates carry
+    no other kind); a non-str key there raises TypeError.
+    """
+    return _indented(doc, "") + "\n"
+
+
+# exact types only: a container that holds a subclass of one is walked
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _all_scalars(values: Iterable) -> bool:
+    return _SCALARS.issuperset(map(type, values))
+
+
+@functools.cache
+def _c_encoder(pad: str):
+    """C encoder, sorted keys and ASCII output, whose item separator ends in pad."""
+    return c_make_encoder(
+        None, JSONEncoder().default, encode_basestring_ascii, None,
+        ": ", ",\n" + pad, True, False, True,
+    )
+
+
+def _one_level(value, pad: str) -> str:
+    # past about 100,000 pieces the encoder returns several chunks
+    return "".join(_c_encoder(pad)(value, 0))
+
+
+def _wrap(open_: str, pad: str, body: str, outer: str, close: str) -> str:
+    """body between its brackets, on lines of its own; one copy of body."""
+    return f"{open_}\n{pad}{body}\n{outer}{close}"
+
+
+def _indented(value, outer: str) -> str:
+    """value as `json.dumps(..., sort_keys=True, indent=2)` writes it at indent outer."""
+    pad = outer + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if _all_scalars(value.values()):
+            return _wrap("{", pad, _one_level(value, pad)[1:-1], outer, "}")
+        body = (",\n" + pad).join(
+            encode_basestring_ascii(k) + ": " + _indented(v, pad)
+            for k, v in sorted(value.items())
+        )
+        return _wrap("{", pad, body, outer, "}")
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        types = set(map(type, value))
+        if _SCALARS.issuperset(types):
+            return _wrap("[", pad, _one_level(value, pad)[1:-1], outer, "]")
+        if (
+            types == {dict}
+            and all(value)
+            and _all_scalars(chain.from_iterable(map(dict.values, value)))
+        ):
+            inner = pad + "  "
+            records = _one_level(value, inner)[2:-2].replace(
+                "},\n" + inner + "{", "\n" + pad + "},\n" + pad + "{\n" + inner
+            )
+            return _wrap("[", pad, _wrap("{", inner, records, pad, "}"), outer, "]")
+        body = (",\n" + pad).join(_indented(v, pad) for v in value)
+        return _wrap("[", pad, body, outer, "]")
+    return _one_level(value, pad)
 
 
 # ---- torsion certificate ----
+
+def params_block(params: FamilyParams) -> dict:
+    """The params block: the family member with its derived b and d."""
+    return {
+        "a": params.a,
+        "m": params.m,
+        "d1": params.d1,
+        "d2": params.d2,
+        "b": params.b,
+        "d": params.d,
+        "b_explicit": params.b_explicit,
+    }
+
 
 def profile_block(profile: DiscriminantProfile) -> dict:
     """The profile block: Delta(f)(y) as stored and as verify recomputes it."""
@@ -111,21 +203,12 @@ class TorsionCertificate:
     inconclusive_reason: str | None
 
     def to_dict(self) -> dict:
-        p = self.params
         cs = self.candidate_set
         return {
             "schema": SCHEMA,
             "kind": TORSION_KIND,
             "tool_version": __version__,
-            "params": {
-                "a": p.a,
-                "m": p.m,
-                "d1": p.d1,
-                "d2": p.d2,
-                "b": p.b,
-                "d": p.d,
-                "b_explicit": p.b_explicit,
-            },
+            "params": params_block(self.params),
             "convention": self.convention,
             "profile": profile_block(self.profile),
             "convention_comparison": self.convention_comparison,

@@ -188,7 +188,7 @@ def _cmd_verify(args) -> int:
     try:
         with open(args.certificate, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as exc:  # not UTF-8 text, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         failures = [f"document: malformed ({exc})"]
     else:
         failures = verify_certificate(doc)

@@ -21,6 +21,7 @@ used plus a comparison block whenever the two diverge.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,7 +94,13 @@ def validate_params(
     H4  b = 2^d1*a - 3, or an explicit override of the form 2^d1*a - 3^m'
         with odd m' >= 1
     H5  discriminant not identically zero: a != 0 and m^2 + b != 0
+
+    Each value must be an integer (`operator.index`); a bool is taken as
+    0 or 1, and a float raises TypeError.
     """
+    a, m, d1, d2 = map(operator.index, (a, m, d1, d2))
+    if b_override is not None:
+        b_override = operator.index(b_override)
     violations: list[tuple[str, str]] = []
     if d1 < 3 or d1 % 2 == 0 or d1 % 3 != 0:
         violations.append(("H1", f"d1 = {d1} must be an odd multiple of 3, at least 3"))

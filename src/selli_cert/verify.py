@@ -13,10 +13,11 @@ L-polynomial reconstruction (functional equation and Weil bounds
 included), and obstruction tables are re-enumerated for the twelve
 classes r = 0..11, listed once each in order.  y_max and each class's
 smallest modulus and tuple count must be JSON integers (or null for an
-open class), and the replication block must match as JSON text, so a
-float or a bool that compares equal fails.  `timing` must be null, as
-schema selli-cert/1 fixes it, and `zero_reason` the family's one reason.
-The conclusion must be one of the three the tool emits, and a
+open class), the params block must match value for value and type for
+type, and the replication block must match as JSON text, so a float or a
+bool that compares equal fails.  `timing` must be null, as schema
+selli-cert/1 fixes it, and `zero_reason` the family's one reason.  The
+conclusion must be one of the three the tool emits, and a
 point-elimination conclusion carries no genus and no prime scan.  A
 coprime-order pair must be two odd primes p1 < p2 whose ok records it
 repeats, in a scan that lists every prime up to its bound, under a genus
@@ -52,6 +53,7 @@ from .certificates import (
     build_dio_certificate,
     convention_evidence,
     elimination_list,
+    params_block,
     profile_block,
 )
 # The search and the sweep run once per certificate, inside
@@ -117,8 +119,10 @@ def _verify_torsion(doc: dict) -> list[str]:
             )
         except SelliCertError as exc:
             return [f"params: invalid ({exc})"]
-        if (p["b"], p["d"]) != (params.b, params.d):
-            failures.append("params: stored b or d does not match the validated parameters")
+        expected = params_block(params)
+        # type-strict, as JSON text would be: true is not 1 and 5.0 is not 5
+        if p != expected or any(type(p[k]) is not type(v) for k, v in expected.items()):
+            failures.append("params: stored values do not match the validated parameters")
         convention = doc["convention"]
 
         block = "profile"

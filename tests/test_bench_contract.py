@@ -9,11 +9,14 @@ of in a benchmark run when one of those names or flags goes missing, an
 answer changes, or a traced metric can no longer be read.  The traced run
 also starts with a self-test whose counters must equal known work, and
 times point counts at 1 and 2 threads; both are replayed here, since the
-traced path can break while the untraced one still passes.
+traced path can break while the untraced one still passes.  Last, each
+workload is run through perfbench/run.py itself for zero seconds, traced
+and untraced, and must end with a strict-JSON result line.
 """
 
 import importlib
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -21,7 +24,8 @@ import pytest
 
 from selli_cert import cli
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 WORKLOADS = ("curve-sweep", "prime-scan", "dio-sweep")
 
 
@@ -119,3 +123,23 @@ def test_count_speedup_runs_at_two_threads(bench):
     jobs = workloads.generate("prime-scan", oracle.REFERENCE_SEED)[0]
     speedup, how = run.count_speedup([j for j in jobs if j.counts][:1], 0.0)
     assert speedup is not None, how
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("trace", (0, 1))
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_run_ends_with_its_result_line(workload, trace):
+    # the benchmark reads a run's result from its last line of stdout: text
+    # after it, or a NaN or infinite metric, loses the whole run
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
+         "--seconds", "0", "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_reject_constant)
+    assert result["correct"] is True

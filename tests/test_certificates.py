@@ -5,6 +5,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from selli_cert.certificates import (
     CONCLUSION_COPRIME,
@@ -39,6 +41,68 @@ def test_canonical_json_stable():
     assert text == canonical_json(json.loads(text))
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
+
+
+def stdlib_json(doc) -> str:
+    """The writer canonical_json must reproduce byte for byte."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# strings that look like the separators, the record boundaries and the
+# escapes canonical_json relies on
+AWKWARD_STRINGS = [
+    "}, {", "},\n  {", "},\n    {", "],\n  [", "\\n", "\n", "é中", 'a "q" b', "", "{", "]",
+]
+# scalars, and empty containers at every depth
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=10**59, max_value=10**80).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.floats(),
+    st.just(-0.0),
+    st.sampled_from(AWKWARD_STRINGS),
+    st.text(),
+    st.just({}),
+    st.just([]),
+    st.just(()),
+)
+KEYS = st.one_of(st.text(max_size=6), st.sampled_from(AWKWARD_STRINGS))
+# non-empty dicts of leaves: flat records, unless a leaf is an empty container
+RECORDS = st.dictionaries(KEYS, LEAVES, min_size=1, max_size=4)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(KEYS, children, max_size=5),
+        st.lists(RECORDS, min_size=1, max_size=5),
+        st.lists(RECORDS, min_size=1, max_size=5).map(tuple),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.recursive(LEAVES, _containers, max_leaves=40))
+# tuples come out exactly as lists, also as records and inside records
+@example({"t": (1, (2, ()), ({"a": 1}, {"b": (3,)}), ({"c": 4}, {"d": 5}))})
+def test_canonical_json_matches_the_stdlib_writer(doc):
+    assert canonical_json(doc) == stdlib_json(doc)
+
+
+def test_canonical_json_joins_every_chunk():
+    # past about 100,000 pieces the C encoder hands back several chunks
+    records = [{"y": y, "delta": -y * 10**40, "passes": y % 3 == 0} for y in range(60000)]
+    assert len(certificates._c_encoder("    ")(records, 0)) > 1
+    doc = {"candidates": records, "surviving": list(range(60000)), "nested": [records[:5], {}]}
+    text = canonical_json(doc)
+    assert len(text) > 2 * 10**6
+    assert text == stdlib_json(doc)
+
+
+def test_canonical_json_walked_keys_are_strings():
+    with pytest.raises(TypeError):
+        canonical_json({1: [[]]})
 
 
 def test_torsion_certificate_shape():
@@ -125,12 +189,26 @@ def test_torsion_tamper_detected():
     doc = copy.deepcopy(base)
     doc["elimination"][0]["eliminated"] = False
     assert verify_certificate(doc) != []
-    for key, value in (("b", 99), ("d", 4)):
+    # the params block is compared type for type, so retyped values fail too
+    for key, value in (
+        ("b", 99),
+        ("d", 4),
+        ("b_explicit", None),
+        ("b_explicit", 0),
+        ("b", 101.0),
+        ("d", 5.0),
+        ("m", True),
+    ):
         doc = copy.deepcopy(base)
         doc["params"][key] = value
         assert verify_certificate(doc) == [
-            "params: stored b or d does not match the validated parameters"
-        ], key
+            "params: stored values do not match the validated parameters"
+        ], (key, value)
+    doc = copy.deepcopy(base)
+    doc["params"]["a"] = 13.0
+    assert verify_certificate(doc) == [
+        "params: malformed (TypeError: 'float' object cannot be interpreted as an integer)"
+    ]
     # values that compare equal to the recomputed ones but are not them
     doc = copy.deepcopy(base)
     doc["y_max"] = 5.0

@@ -380,6 +380,15 @@ def test_verify_malformed_json(capsys, tmp_path):
     assert "FAIL document: malformed" in stderr
 
 
+def test_verify_deeply_nested_json(capsys, tmp_path):
+    # the parser gives up with RecursionError, which verify reports, not raises
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000 + "\n")
+    code, _, stderr = run_cli(capsys, "verify", str(path))
+    assert code == 3
+    assert stderr.startswith("FAIL document: malformed (maximum recursion depth exceeded")
+
+
 def _verify_edited(capsys, path, edit):
     doc = json.loads(path.read_text())
     edit(doc)
