@@ -10,19 +10,21 @@ rationals as "p/q" strings, stable across runs and thread counts.  Both
 kinds write `"timing": null`: schema selli-cert/1 fixes that key, and no
 wall time is ever recorded, so output is byte-reproducible.
 
-Every block that `verify` recomputes has one producer here, shared by the
+Every block that `verify` rebuilds has one producer here, shared by the
 builder and the verifier: `params_block`, `profile_block`,
-`elimination_list`, `convention_evidence` and `replication_evidence`.
+`elimination_list`, `convention_evidence`, `torsion_outcome`, `scan_block`
+(with `record_block`, `pair_block` and `counts_block`) and
+`replication_evidence`, assembled by `TorsionCertificate.to_dict` and
+`build_dio_certificate`.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
-from math import gcd
 
 from . import __version__
 from . import jacobian as jac
@@ -33,7 +35,6 @@ from .diophantine import (
     qr_law_check,
     tuples_checked,
 )
-from .errors import ParameterError
 from .family import (
     ASSUMPTION_GENUS,
     ASSUMPTION_INFINITY,
@@ -188,6 +189,28 @@ def elimination_list(records: Iterable[EliminationRecord]) -> list[dict]:
 
 
 @dataclass(frozen=True)
+class TorsionOutcome:
+    """How a torsion certificate concludes; `torsion_outcome` decides it."""
+
+    conclusion: str
+    genus: "jac.GenusSpec | None"  # the genus the prime scan ran under; None when none ran
+    assumptions: tuple[str, ...]
+    inconclusive_reason: str | None = None
+
+    def to_dict(self) -> dict:
+        return {
+            "conclusion": self.conclusion,
+            "genus": None
+            if self.genus is None
+            else {"g": self.genus.g, "source": self.genus.source},
+            # the scan counts the one point at infinity of the C_{d1,d2} model
+            "infinity_count": None if self.genus is None else 1,
+            "assumptions": sorted(self.assumptions),
+            "inconclusive_reason": self.inconclusive_reason,
+        }
+
+
+@dataclass(frozen=True)
 class TorsionCertificate:
     params: FamilyParams
     convention: str
@@ -195,12 +218,9 @@ class TorsionCertificate:
     convention_comparison: dict | None
     candidate_set: CandidateSet
     elimination: tuple[EliminationRecord, ...]
-    conclusion: str
-    genus: "jac.GenusSpec | None"
+    outcome: TorsionOutcome
     prime_scan: "jac.PrimeScan | None"
-    assumptions: tuple[str, ...]
     discrepancies: tuple[str, ...]
-    inconclusive_reason: str | None
 
     def to_dict(self) -> dict:
         cs = self.candidate_set
@@ -222,21 +242,15 @@ class TorsionCertificate:
             "candidates": list(cs.candidates),
             "surviving": list(cs.surviving),
             "elimination": elimination_list(self.elimination),
-            "conclusion": self.conclusion,
-            "genus": None
-            if self.genus is None
-            else {"g": self.genus.g, "source": self.genus.source},
-            # the scan counts the one point at infinity of the C_{d1,d2} model
-            "infinity_count": None if self.prime_scan is None else 1,
-            "prime_scan": _scan_dict(self.prime_scan),
-            "assumptions": sorted(self.assumptions),
+            **self.outcome.to_dict(),
+            "prime_scan": scan_block(self.prime_scan),
             "discrepancies": sorted(self.discrepancies),
-            "inconclusive_reason": self.inconclusive_reason,
             "timing": None,
         }
 
 
-def _counts_dict(table: PointCountTable | None) -> dict | None:
+def counts_block(table: PointCountTable | None) -> dict | None:
+    """A point-count table: N_k for each k, and the points counted at infinity."""
     if table is None:
         return None
     return {
@@ -245,33 +259,40 @@ def _counts_dict(table: PointCountTable | None) -> dict | None:
     }
 
 
-def _scan_dict(scan: "jac.PrimeScan | None") -> dict | None:
+def record_block(record: "jac.PrimeOrderRecord") -> dict:
+    """One prime of the scan: its status, skip reason, Jacobian order and counts."""
+    return {
+        "p": record.p,
+        "status": record.status,
+        "reason": record.reason,
+        "order": record.order,
+        "counts": counts_block(record.counts),
+    }
+
+
+def pair_block(cert: "jac.CertificatePrimes | None") -> dict | None:
+    """The coprime-order pair: both primes with their orders and counts."""
+    if cert is None:
+        return None
+    return {
+        "p1": cert.p1,
+        "p2": cert.p2,
+        "order1": cert.order1,
+        "order2": cert.order2,
+        "gcd": cert.gcd_value,
+        "counts1": counts_block(cert.counts1),
+        "counts2": counts_block(cert.counts2),
+    }
+
+
+def scan_block(scan: "jac.PrimeScan | None") -> dict | None:
+    """The prime_scan block: every record of the scan, and its coprime-order pair."""
     if scan is None:
         return None
-    cert = scan.certificate
     return {
         "prime_bound": scan.prime_bound,
-        "records": [
-            {
-                "p": r.p,
-                "status": r.status,
-                "reason": r.reason,
-                "order": r.order,
-                "counts": _counts_dict(r.counts),
-            }
-            for r in scan.records
-        ],
-        "certificate": None
-        if cert is None
-        else {
-            "p1": cert.p1,
-            "p2": cert.p2,
-            "order1": cert.order1,
-            "order2": cert.order2,
-            "gcd": cert.gcd_value,
-            "counts1": _counts_dict(cert.counts1),
-            "counts2": _counts_dict(cert.counts2),
-        },
+        "records": [record_block(r) for r in scan.records],
+        "certificate": pair_block(scan.certificate),
     }
 
 
@@ -293,6 +314,47 @@ def convention_evidence(params: FamilyParams, convention: str) -> tuple[dict | N
     return comparison, [DISCREPANCY_CONVENTION] if convention == "standard" else []
 
 
+_NO_GENUS = (
+    "survivors not eliminated and no genus available: the mixed "
+    "x*y term rules out the superelliptic genus formula, supply "
+    "genus explicitly to enable the coprime-order route"
+)
+_NO_PAIR = (
+    "survivors not eliminated and the prime scan found no "
+    "coprime-order pair within the bound"
+)
+
+
+def torsion_outcome(
+    params: FamilyParams,
+    eliminated: bool,
+    genus: "jac.GenusSpec | None",
+    scan: "Callable[[jac.GenusSpec], bool]",
+) -> TorsionOutcome:
+    """The conclusion of a torsion certificate, with its genus, assumptions
+    and the reason it is inconclusive.
+
+    Point elimination settles it when every survivor is eliminated.
+    Otherwise the coprime-order route needs a genus: `genus` if given,
+    else the superelliptic formula, which the mixed x*y term rules out
+    unless m = 0; with neither the outcome is honestly INCONCLUSIVE.
+    `scan(genus)` runs the prime scan under that genus (or, in `verify`,
+    reads the stored one) and says whether it found a coprime-order pair.
+    """
+    if eliminated:
+        return TorsionOutcome(CONCLUSION_ELIMINATION, None, (ASSUMPTION_NL,))
+    if genus is None and params.m == 0:
+        genus = jac.genus_superelliptic(params.d2, params.d1)
+    if genus is None:
+        return TorsionOutcome(CONCLUSION_INCONCLUSIVE, None, (ASSUMPTION_NL,), _NO_GENUS)
+    assumptions = (ASSUMPTION_NL, ASSUMPTION_INFINITY)
+    if genus.source == jac.GENUS_USER:
+        assumptions += (ASSUMPTION_GENUS,)
+    if scan(genus):
+        return TorsionOutcome(CONCLUSION_COPRIME, genus, assumptions)
+    return TorsionOutcome(CONCLUSION_INCONCLUSIVE, genus, assumptions, _NO_PAIR)
+
+
 def build_torsion_certificate(
     params: FamilyParams,
     convention: str = "standard",
@@ -308,54 +370,27 @@ def build_torsion_certificate(
     runs only when elimination leaves survivors; it needs a genus, which
     the curve's mixed x*y term prevents deriving by formula, so for m != 0
     the caller must supply one (tagged GENUS-USER) or the outcome is
-    honestly INCONCLUSIVE.  `budget` caps the candidate box (see
-    `y_candidates`) and each point count of the scan.
+    honestly INCONCLUSIVE (see `torsion_outcome`).  `budget` caps the
+    candidate box (see `y_candidates`) and each point count of the scan.
     """
     profile = discriminant_profile(params, convention)
     candidates = y_candidates(profile, budget=budget)
     elimination = tuple(eliminate_points(params, candidates.surviving, convention))
-
     comparison, discrepancies = convention_evidence(params, convention)
-    assumptions = [ASSUMPTION_NL]
-    genus_used: "jac.GenusSpec | None" = None
-    scan = None
-    inconclusive_reason = None
+    prime_scan = None
 
-    if all(r.eliminated for r in elimination):
-        conclusion = CONCLUSION_ELIMINATION
-    else:
-        genus_used = genus
-        if genus_used is None:
-            if params.m == 0:
-                genus_used = jac.genus_superelliptic(params.d2, params.d1)
-            else:
-                conclusion = CONCLUSION_INCONCLUSIVE
-                inconclusive_reason = (
-                    "survivors not eliminated and no genus available: the mixed "
-                    "x*y term rules out the superelliptic genus formula, supply "
-                    "genus explicitly to enable the coprime-order route"
-                )
-        if genus_used is not None:
-            if genus_used.source == jac.GENUS_USER:
-                assumptions.append(ASSUMPTION_GENUS)
-            assumptions.append(ASSUMPTION_INFINITY)
-            curve = CurveEquation.from_family(params, convention)
-            scan = jac.find_certificate_primes(
-                curve,
-                genus_used,
-                prime_bound if prime_bound is not None else DEFAULT_PRIME_BOUND,
-                budget=budget,
-                threads=threads,
-            )
-            if scan.certificate is not None:
-                conclusion = CONCLUSION_COPRIME
-            else:
-                conclusion = CONCLUSION_INCONCLUSIVE
-                inconclusive_reason = (
-                    "survivors not eliminated and the prime scan found no "
-                    "coprime-order pair within the bound"
-                )
+    def scan(genus_used: jac.GenusSpec) -> bool:
+        nonlocal prime_scan
+        prime_scan = jac.find_certificate_primes(
+            CurveEquation.from_family(params, convention),
+            genus_used,
+            prime_bound if prime_bound is not None else DEFAULT_PRIME_BOUND,
+            budget=budget,
+            threads=threads,
+        )
+        return prime_scan.certificate is not None
 
+    outcome = torsion_outcome(params, all(r.eliminated for r in elimination), genus, scan)
     return TorsionCertificate(
         params=params,
         convention=convention,
@@ -363,12 +398,9 @@ def build_torsion_certificate(
         convention_comparison=comparison,
         candidate_set=candidates,
         elimination=elimination,
-        conclusion=conclusion,
-        genus=genus_used,
-        prime_scan=scan,
-        assumptions=tuple(assumptions),
+        outcome=outcome,
+        prime_scan=prime_scan,
         discrepancies=tuple(discrepancies),
-        inconclusive_reason=inconclusive_reason,
     )
 
 

@@ -61,13 +61,14 @@ def _cmd_analyze_curve(args) -> int:
     )
     _emit(cert.to_dict(), args.out)
     _say(
-        f"conclusion: {cert.conclusion}; survivors {list(cert.candidate_set.surviving)}"
+        f"conclusion: {cert.outcome.conclusion}; "
+        f"survivors {list(cert.candidate_set.surviving)}"
     )
     if cert.discrepancies:
         _say(f"discrepancies: {', '.join(sorted(cert.discrepancies))}")
-    if cert.inconclusive_reason:
-        _say(f"reason: {cert.inconclusive_reason}")
-    clean = cert.conclusion.startswith("TRIVIAL") and not cert.discrepancies
+    if cert.outcome.inconclusive_reason:
+        _say(f"reason: {cert.outcome.inconclusive_reason}")
+    clean = cert.outcome.conclusion.startswith("TRIVIAL") and not cert.discrepancies
     return EXIT_OK if clean else EXIT_INCONCLUSIVE
 
 

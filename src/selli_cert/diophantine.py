@@ -22,6 +22,7 @@ D = (xy)^2 + 4(a*x^d1 - y^d2 - b) is a square mod 4q for some y.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 
@@ -39,6 +40,7 @@ __all__ = [
     "obstruction_sweep",
     "sweep_plan",
     "tuples_checked",
+    "check_qr_bound",
     "qr_law_check",
 ]
 
@@ -65,7 +67,14 @@ def validate_dio_params(
     D3  d2 >= 2 and even
     D4  gcd(d1, d2) = 1
     D5  b_mode consistency: corollary1 needs odd m' >= 1, standard needs none
+
+    a, d1, d2 and m' must be integers (`operator.index`), as in
+    `family.validate_params`: a bool is taken as 0 or 1, and a float
+    raises TypeError.
     """
+    a, d1, d2 = map(operator.index, (a, d1, d2))
+    if m_prime is not None:
+        m_prime = operator.index(m_prime)
     if b_mode not in B_MODES:
         raise ParameterError(f"b_mode must be one of {B_MODES}")
     violations: list[tuple[str, str]] = []
@@ -282,19 +291,24 @@ def obstruction_sweep(params: DioParams, modulus_bound: int) -> SweepResult:
 _QR_SIEVE_BOUND = 5 * 10**7
 
 
+def check_qr_bound(prime_bound: int) -> None:
+    """Refuse a `qr_law_check` bound below 5 or past `_QR_SIEVE_BOUND`."""
+    if prime_bound < 5:
+        raise ParameterError("prime_bound must be >= 5")
+    if prime_bound > _QR_SIEVE_BOUND:
+        raise BudgetExceededError(f"qr bound {prime_bound} exceeds the cap {_QR_SIEVE_BOUND}")
+
+
 def qr_law_check(prime_bound: int) -> bool:
     """For every prime 5 <= p <= bound: legendre(3, p) = 1 iff p = +-1 mod 12.
 
     Euler's criterion, 3^((p-1)/2) mod p, by square-and-multiply over the
     exponent bits for all sieved primes at once (they are prime, so no
     primality test is due).  Every product is of two residues below
-    p <= prime_bound, so it stays below 2^63.  Bounds past
-    `_QR_SIEVE_BOUND` are refused before anything is allocated.
+    p <= prime_bound, so it stays below 2^63.  The bound is checked
+    (`check_qr_bound`) before anything is allocated.
     """
-    if prime_bound < 5:
-        raise ParameterError("prime_bound must be >= 5")
-    if prime_bound > _QR_SIEVE_BOUND:
-        raise BudgetExceededError(f"qr bound {prime_bound} exceeds the cap {_QR_SIEVE_BOUND}")
+    check_qr_bound(prime_bound)
     p = np.array(primes_upto(prime_bound)[2:], dtype=np.int64)
     exponent = (p - 1) // 2
     power = np.ones_like(p)

@@ -572,13 +572,17 @@ def build_count_table(
 
     Every k is priced before any is counted, so a table whose top degree
     is over budget costs no counting; the refusal names the first k in
-    `ks` over budget, as counting them in order would.
+    `ks` over budget, as counting them in order would.  The curve is
+    reduced mod p once, for the pricing and every count.
     """
     ks = tuple(ks)
     reduced = CurveEquationModP.reduce(curve, p)
     for k in ks:
         _price_count(reduced, p**k, budget)
-    entries = tuple(count_points(curve, p, k, budget=budget, threads=threads) for k in ks)
+    entries = tuple(
+        (k, count_affine(reduced, find_irreducible(p, k), budget=budget, threads=threads) + 1)
+        for k in ks
+    )
     return PointCountTable(entries=entries, infinity_count=1)
 
 

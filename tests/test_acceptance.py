@@ -64,7 +64,7 @@ def test_criterion_01_family_a13():
     cubics = {r.y0: r.reduced_cubic.coefficients for r in cert.elimination}
     assert cubics == {1: (-103, 1, 0, 13), -1: (-103, -1, 0, 13)}
     assert all(r.rational_x == () for r in cert.elimination)
-    assert cert.conclusion == "TRIVIAL_BY_POINT_ELIMINATION"
+    assert cert.outcome.conclusion == "TRIVIAL_BY_POINT_ELIMINATION"
 
 
 def test_criterion_02_family_a37():
@@ -75,7 +75,7 @@ def test_criterion_02_family_a37():
     assert cert.candidate_set.y_max == 8
     assert cert.candidate_set.surviving == (-1, 1)
     assert all(r.eliminated for r in cert.elimination)
-    assert cert.conclusion == "TRIVIAL_BY_POINT_ELIMINATION"
+    assert cert.outcome.conclusion == "TRIVIAL_BY_POINT_ELIMINATION"
 
 
 def test_criterion_03_family_a25_conventions():
@@ -98,7 +98,7 @@ def test_criterion_03_family_a25_conventions():
     # the standard-convention run completes with its own discriminant and
     # carries the divergence flag
     assert (std.profile.c3, std.profile.c0) == (-800, -681766875)
-    assert std.conclusion == "TRIVIAL_BY_POINT_ELIMINATION"
+    assert std.outcome.conclusion == "TRIVIAL_BY_POINT_ELIMINATION"
     assert "xcoeff-convention-divergence" in std.discrepancies
 
 

@@ -410,7 +410,7 @@ def test_verify_reports_malformed_fields(capsys, tmp_path):
         "--modulus-bound", "24", "--out", str(dio),
     )
     cases = [
-        (torsion, lambda doc: doc.pop("profile"), "FAIL profile: malformed (KeyError"),
+        (torsion, lambda doc: doc.pop("profile"), "FAIL profile: missing"),
         (torsion, lambda doc: doc.update(candidates=None), "FAIL candidates: malformed (TypeError"),
         (
             dio,
@@ -448,13 +448,27 @@ def test_verify_rejects_forged_coprime_block(capsys, tmp_path):
             },
         }
 
+    def forge_user_genus(doc):
+        forge(doc)
+        doc["genus"]["source"] = "user-supplied"
+
+    text = path.read_text()
     code, _, stderr = _verify_edited(capsys, path, forge)
     assert code == 3
+    # m = 2 rules out the genus formula, so no scan is due at all
+    assert stderr.splitlines() == [
+        'FAIL conclusion: stored "TRIVIAL_BY_COPRIME_ORDERS", recomputed "INCONCLUSIVE"',
+        'FAIL genus: stored {"g": 1, "source": "formula-superelliptic"}, recomputed null',
+        "FAIL prime_scan: stored an object, recomputed null",
+    ]
+    path.write_text(text)
+    code, _, stderr = _verify_edited(capsys, path, forge_user_genus)
+    assert code == 3
     for message in (
-        "genus: stored 1, the superelliptic formula gives 3",
-        "INFINITY-MODEL",
-        "records do not list exactly the primes",
-        "p1 = 9, p2 = 7 are not odd primes",
+        "FAIL prime_scan: records do not list exactly the primes up to prime_bound",
+        "FAIL prime_scan: certificate primes p1 = 9, p2 = 7 are not odd primes",
+        'FAIL assumptions: stored ["NL-property-C1"], recomputed ["GENUS-USER", '
+        '"INFINITY-MODEL", "NL-property-C1"]',
     ):
         assert message in stderr, message
 

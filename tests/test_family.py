@@ -250,7 +250,7 @@ def test_mutation_planted_point_blocks_triviality():
 
     params = FamilyParams(a=13, m=1, d1=3, d2=10, b=12, d=5, b_explicit=True)
     cert = build_torsion_certificate(params)
-    assert cert.conclusion != "TRIVIAL_BY_POINT_ELIMINATION"
+    assert cert.outcome.conclusion != "TRIVIAL_BY_POINT_ELIMINATION"
     by_y0 = {r.y0: r for r in cert.elimination}
     assert 1 in by_y0 and not by_y0[1].eliminated
     assert Fraction(1) in by_y0[1].rational_x

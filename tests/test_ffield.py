@@ -146,6 +146,20 @@ def test_count_quintic_towers():
     assert build_count_table(q, 11, [1, 2]).entries == ((1, 19), (2, 135))
 
 
+def test_count_table_reduces_the_curve_once(monkeypatch):
+    reduce = CurveEquationModP.reduce.__func__
+    calls = []
+
+    def counted(cls, curve, p):
+        calls.append(p)
+        return reduce(cls, curve, p)
+
+    monkeypatch.setattr(CurveEquationModP, "reduce", classmethod(counted))
+    q = CurveEquation.parse("y^2=x^5-x+1")
+    assert build_count_table(q, 7, [1, 2, 3]).entries == ((1, 7), (2, 49), (3, 322))
+    assert calls == [7]
+
+
 def test_count_threads_equal():
     q = CurveEquation.parse("y^2=x^5-x+1")
     single = count_points(q, 11, 3, threads=1)

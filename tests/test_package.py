@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 import tomllib
@@ -29,3 +30,33 @@ def test_one_version_everywhere():
     version = tomllib.loads(pyproject.read_text())["project"]["version"]
     cert = build_torsion_certificate(validate_params(13, 1, 3, 10))
     assert version == selli_cert.__version__ == cert.to_dict()["tool_version"]
+
+
+def test_no_dead_noqa_imports():
+    # a `# noqa: F401` import must be used by its module, or be a name that
+    # perfbench/tracing.py patches on that module
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    [points] = [
+        node.value
+        for node in ast.parse(tracing.read_text()).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "PATCH_POINTS"
+    ]
+    patched = {(point.elts[0].value, point.elts[1].value) for point in points.elts}
+    dead = []
+    for module in MODULES:
+        loaded = importlib.import_module(module)
+        text = Path(loaded.__file__).read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= set(getattr(loaded, "__all__", ()))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if not any("noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used and (module, name) not in patched:
+                    dead.append(f"{module}.{name}")
+    assert dead == []
