@@ -11,12 +11,15 @@ from __future__ import annotations
 from itertools import compress
 from math import isqrt
 
+import numpy as np
+
 from .errors import BudgetExceededError, ParameterError
 
 __all__ = [
     "legendre_symbol",
     "is_prime",
     "factorize",
+    "prime_array",
     "primes_upto",
 ]
 
@@ -106,13 +109,25 @@ def factorize(n: int, *, budget: int = 10**6) -> dict[int, int]:
     return out
 
 
-def primes_upto(n: int) -> list[int]:
-    """All primes <= n by sieve of Eratosthenes."""
+def _sieve(n: int) -> bytearray:
+    """sieve[k] is 1 iff k is prime, for 0 <= k <= n: the sieve of
+    Eratosthenes in n + 1 bytes."""
     if n < 2:
-        return []
+        return bytearray(max(n + 1, 0))
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
     for i in range(2, isqrt(n) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return list(compress(range(n + 1), sieve))
+            sieve[i * i :: i] = bytes((n - i * i) // i + 1)
+    return sieve
+
+
+def prime_array(n: int) -> np.ndarray:
+    """All primes <= n, ascending, as an int64 array read off `_sieve`
+    without a Python int per prime."""
+    return np.frombuffer(_sieve(n), dtype=bool).nonzero()[0]
+
+
+def primes_upto(n: int) -> list[int]:
+    """All primes <= n, ascending, as a list."""
+    return list(compress(range(n + 1), _sieve(n)))

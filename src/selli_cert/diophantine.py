@@ -15,9 +15,11 @@ moduli) discards almost every pair with numpy before the exact isqrt test.
 An obstruction certificate closes a class r of x mod 12 at a modulus M: no
 (x, y, z) in (Z/M)^3 with x = r (mod 12) solves the congruence, so no
 integer solution lies in the class.  The least such M is lcm(12, q) for
-the first prime power q that empties the class (see `obstruction_sweep`);
-each q is settled in O(q^2) steps by the search's own question, whether
-D = (xy)^2 + 4(a*x^d1 - y^d2 - b) is a square mod 4q for some y.
+the first prime power q that empties the class (see `obstruction_sweep`).
+Each q asks the search's own question, whether D = (xy)^2 + 4(a*x^d1 -
+y^d2 - b) is a square mod 4q for some y.  A class that stays open is
+settled by one witness (x, y), usually found within a few y; only a class
+that closes costs its q/gcd(12, q) rows of q cells.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from math import gcd, isqrt, prod
 
 import numpy as np
 
-from .arith import primes_upto
+from .arith import prime_array, primes_upto
 from .errors import BudgetExceededError, HypothesisError, ParameterError
 
 __all__ = [
@@ -40,6 +42,7 @@ __all__ = [
     "obstruction_sweep",
     "sweep_plan",
     "tuples_checked",
+    "check_search_box",
     "check_qr_bound",
     "qr_law_check",
 ]
@@ -114,12 +117,29 @@ _SIEVE_MODULI = (63, 65, 11, 17, 19, 23)
 # take O(box) memory, never O(box^2).
 _SEARCH_BLOCK_PAIRS = 1 << 15
 
+# The search costs 6 to 8 ns per (x, y) pair on a 2-core x86 VM at a flat
+# 33 MB: box 3,000 takes 0.29 s and box 6,000 takes 0.87 s.  A box of more
+# pairs than this (box 7,070 is the largest admitted) is refused.
+_SEARCH_PAIR_BUDGET = 2 * 10**8
+
 
 def _square_table(m: int) -> np.ndarray:
     """is_square[r]: is r a square mod m?"""
     is_square = np.zeros(m, dtype=bool)
     is_square[np.arange(m) ** 2 % m] = True
     return is_square
+
+
+def check_search_box(box: int) -> None:
+    """Refuse a `bounded_search` box below 1, or one whose (2*box + 1)^2
+    pairs pass `_SEARCH_PAIR_BUDGET`."""
+    if box < 1:
+        raise ParameterError("box must be >= 1")
+    pairs = (2 * box + 1) ** 2
+    if pairs > _SEARCH_PAIR_BUDGET:
+        raise BudgetExceededError(
+            f"search box {box} needs {pairs} (x, y) pairs; the budget is {_SEARCH_PAIR_BUDGET}"
+        )
 
 
 def bounded_search(params: DioParams, box: int) -> list[tuple[int, int, int]]:
@@ -136,10 +156,10 @@ def bounded_search(params: DioParams, box: int) -> list[tuple[int, int, int]]:
     every survivor still goes through the exact isqrt check.  The sieve
     reduces x, y and both big terms mod m before it multiplies, so its
     int16 values stay below 2^15 at any box, and it runs over blocks of at
-    most `_SEARCH_BLOCK_PAIRS` pairs, so its memory is O(box).
+    most `_SEARCH_BLOCK_PAIRS` pairs, so its memory is O(box).  The box is
+    priced (`check_search_box`) before anything is computed.
     """
-    if box < 1:
-        raise ParameterError("box must be >= 1")
+    check_search_box(box)
     a, b, d1, d2 = params.a, params.b, params.d1, params.d2
     xs = ys = list(range(-box, box + 1))
     x_terms = [4 * (a * x**d1 - b) for x in xs]
@@ -189,8 +209,11 @@ def bounded_search(params: DioParams, box: int) -> list[tuple[int, int, int]]:
     return sorted(solutions)
 
 
-def _solvable_flags(a: int, b: int, d1: int, d2: int, modulus: int) -> list[bool]:
-    """For each x in Z/q: does some (y, z) in (Z/q)^2 solve the congruence?
+def _solvable_flags(
+    a: int, b: int, d1: int, d2: int, modulus: int, rows: range | None = None
+) -> list[bool]:
+    """For each x in rows (default all of Z/q): does some (y, z) in (Z/q)^2
+    solve the congruence?
 
     The congruence reads z^2 - s*z = c (mod q) with s = x*y and
     c = a*x^d1 - b - y^d2.  Multiplied by 4 it is (2z - s)^2 = s^2 + 4c
@@ -198,15 +221,15 @@ def _solvable_flags(a: int, b: int, d1: int, d2: int, modulus: int) -> list[bool
     Conversely any w with w^2 = D (mod 4q) has w^2 = s^2 (mod 4), so
     w = s (mod 2) and z = (w + s)/2 is an integer solving it.  This holds
     for every q, powers of 2 included, and for any representatives s and c.
-    So one q x q grid over (x, y) of D mod 4q, read through the square
-    table mod 4q, answers for every x in O(q^2) steps.  All int64 values
-    stay below 5q^2.
+    So one grid over (x, y) of D mod 4q, read through the square table
+    mod 4q, answers for every x in rows in len(rows) * q steps.  All int64
+    values stay below 5q^2.
     """
     q = modulus
-    v = np.arange(q, dtype=np.int64)
+    xs = np.arange(q, dtype=np.int64) if rows is None else np.array(rows, dtype=np.int64)
     y_pow = np.array([pow(y, d2, q) for y in range(q)], dtype=np.int64)
-    x_rhs = np.array([(a * pow(x, d1, q) - b) % q for x in range(q)], dtype=np.int64)
-    disc = v[:, None] * v % q  # s = x*y, rows x, columns y
+    x_rhs = np.array([(a * pow(x, d1, q) - b) % q for x in xs.tolist()], dtype=np.int64)
+    disc = xs[:, None] * np.arange(q, dtype=np.int64) % q  # s = x*y, rows x, columns y
     disc *= disc
     c = x_rhs[:, None] - y_pow
     c %= q
@@ -214,6 +237,16 @@ def _solvable_flags(a: int, b: int, d1: int, d2: int, modulus: int) -> list[bool
     disc += c
     disc %= 4 * q
     return _square_table(4 * q)[disc].any(axis=1).tolist()
+
+
+def _has_witness(params: DioParams, q: int, x: int, is_square: list[bool]) -> bool:
+    """Does some y make row x's D a square mod 4q?  The same D as
+    `_solvable_flags`, one y at a time, stopping at the first witness."""
+    c = (params.a * pow(x, params.d1, q) - params.b) % q
+    d2, m = params.d2, 4 * q
+    return any(
+        is_square[((x * y % q) ** 2 + 4 * (c - pow(y, d2, q))) % m] for y in range(q)
+    )
 
 
 @dataclass(frozen=True)
@@ -229,9 +262,12 @@ def tuples_checked(modulus: int | None) -> int | None:
     return None if modulus is None else (modulus // 12) * modulus * modulus
 
 
-# The sweep builds one q x q table per prime power q it reads, about 25 ns
-# a cell on a 2-core x86 VM: modulus bound 360 costs 1.6e4 cells, 11,520
-# costs 5.6e7 (1.45 s, 112 MB RSS).  A plan priced above this is refused.
+# The sweep is priced at its worst case, one q x q table per prime power q
+# it reads, about 25 ns a cell on a 2-core x86 VM: modulus bound 360 costs
+# 1.6e4 cells, 11,520 costs 5.6e7 (1.45 s, 112 MB RSS).  A plan priced above
+# this is refused.  Typically a class that stays open is settled by a
+# witness row within a few y and only closing classes build table rows:
+# (13, 3, 10) sweeps bound 360 in 0.16 ms, 1,200 in 0.4 ms and 4,000 in 1.6 ms.
 _SWEEP_CELL_BUDGET = 6 * 10**7
 
 
@@ -262,9 +298,12 @@ def obstruction_sweep(params: DioParams, modulus_bound: int) -> SweepResult:
     """Per class r mod 12, the least multiple M of 12 up to the bound
     modulo which no x = r (mod 12) is solvable, or None.
 
-    One pass over `sweep_plan`: while a class is pending, q's table is
-    built once, and each pending r with no solvable x = r (mod gcd(12, q))
-    closes at lcm(12, q).  That is the least M:
+    One pass over `sweep_plan`: while a class is pending, each pending r
+    with no solvable x = r (mod gcd(12, q)) closes at lcm(12, q).  Classes
+    with the same residue s = r mod gcd(12, q) share one answer: row x = s
+    is scanned for a witness y first, and only if it has none are the
+    class's other rows built as one `_solvable_flags` table.  The closing
+    modulus is the least M:
     - a solution mod p^(e+1) reduces to one mod p^e, so a class emptied by
       p^e stays empty for every higher power of p;
     - by CRT, a class is empty mod M (12 | M) iff some q || M empties it;
@@ -277,17 +316,25 @@ def obstruction_sweep(params: DioParams, modulus_bound: int) -> SweepResult:
         pending = [r for r in range(12) if best[r] is None]
         if not pending:
             break
-        flags = _solvable_flags(params.a, params.b, params.d1, params.d2, q)
         step = gcd(12, q)
+        is_square = _square_table(4 * q).tolist()
+        solvable = {}
+        for s in {r % step for r in pending}:
+            rest = range(s + step, q, step)  # empty at q = 3 and 4: row s is the class
+            solvable[s] = _has_witness(params, q, s, is_square) or bool(rest) and any(
+                _solvable_flags(params.a, params.b, params.d1, params.d2, q, rest)
+            )
         for r in pending:
-            if not any(flags[r % step :: step]):
+            if not solvable[r % step]:
                 best[r] = modulus
     return SweepResult(modulus_bound=modulus_bound, smallest_modulus=tuple(best))
 
 
-# qr_law_check's sieve, prime list and arrays take about 4 bytes per integer
-# up to its bound, 0.2 GB at this cap.  The cap also keeps every product of
-# two residues below 2^63 (3037000499 is the largest n with n^2 < 2^63).
+# qr_law_check's sieve takes one byte per integer up to its bound and its
+# prime arrays about 8 bytes per prime: a 21 MB tracemalloc peak at 10^7,
+# about 0.1 GB at this cap.  The cap also keeps every value of the Euler
+# ladder, below 3p^2, under 2^63 (1753413056 is the largest p with
+# 3p^2 < 2^63).
 _QR_SIEVE_BOUND = 5 * 10**7
 
 
@@ -299,21 +346,27 @@ def check_qr_bound(prime_bound: int) -> None:
         raise BudgetExceededError(f"qr bound {prime_bound} exceeds the cap {_QR_SIEVE_BOUND}")
 
 
+def _euler_ladder(p: np.ndarray) -> np.ndarray:
+    """3^((p - 1)/2) mod p for each p, left to right over the exponent bits:
+    square, multiply by 3 where the bit is set, reduce.  Every value stays
+    below 3p^2.  Each bit row is built inside the loop, so the work memory
+    is a few arrays the size of p."""
+    exponent = p >> 1
+    power = np.ones_like(p)
+    for shift in reversed(range(int(exponent.max(initial=0)).bit_length())):
+        power *= power
+        power *= 1 + 2 * (exponent >> shift & 1)
+        power %= p
+    return power
+
+
 def qr_law_check(prime_bound: int) -> bool:
     """For every prime 5 <= p <= bound: legendre(3, p) = 1 iff p = +-1 mod 12.
 
-    Euler's criterion, 3^((p-1)/2) mod p, by square-and-multiply over the
-    exponent bits for all sieved primes at once (they are prime, so no
-    primality test is due).  Every product is of two residues below
-    p <= prime_bound, so it stays below 2^63.  The bound is checked
-    (`check_qr_bound`) before anything is allocated.
+    Euler's criterion, 3^((p-1)/2) mod p (`_euler_ladder`), for all sieved
+    primes at once (they are prime, so no primality test is due).  The
+    bound is checked (`check_qr_bound`) before anything is allocated.
     """
     check_qr_bound(prime_bound)
-    p = np.array(primes_upto(prime_bound)[2:], dtype=np.int64)
-    exponent = (p - 1) // 2
-    power = np.ones_like(p)
-    base = 3 % p
-    for bit in range(int(exponent[-1]).bit_length()):
-        power = np.where(exponent >> bit & 1, power * base % p, power)
-        base = base * base % p
-    return bool(np.array_equal(power == 1, (p % 12 == 1) | (p % 12 == 11)))
+    p = prime_array(prime_bound)[2:]
+    return bool(np.array_equal(_euler_ladder(p) == 1, (p % 12 == 1) | (p % 12 == 11)))

@@ -11,8 +11,8 @@ or by the document's own size, in this order:
   order, before any polynomial is solved;
 - a prime scan must list every prime up to its bound, with the bound
   checked against the number of records before any sieve;
-- the Diophantine box and bounds must be JSON integers, and the sweep and
-  the QR sieve are priced before anything is rebuilt.
+- the Diophantine box and bounds must be JSON integers, and the sweep, the
+  QR sieve and the search box are priced before anything is rebuilt.
 
 Then every block is rebuilt with the builder's own code (`y_candidates`,
 `eliminate_points`, `convention_evidence`, `torsion_outcome`,
@@ -64,6 +64,7 @@ from .certificates import (
 from .diophantine import (  # noqa: F401
     bounded_search,
     check_qr_bound,
+    check_search_box,
     obstruction_sweep,
     sweep_plan,
     validate_dio_params,
@@ -352,12 +353,13 @@ def _verify_dio(doc: dict) -> list[str]:
         if malformed:
             return malformed
 
-        # the sweep and the QR sieve are priced before the search runs
+        # the sweep, the QR sieve and the search are priced before any runs
         block = "obstructions"
         sweep_plan(modulus_bound)
         block = "replication"
         check_qr_bound(qr_bound)
         block = "search"
+        check_search_box(box)
         expected = build_dio_certificate(
             params, box=box, modulus_bound=modulus_bound, qr_bound=qr_bound
         ).to_dict()

@@ -1,5 +1,7 @@
 import math
+from bisect import bisect_right
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from selli_cert.arith import (
     factorize,
     is_prime,
     legendre_symbol,
+    prime_array,
     primes_upto,
 )
 from selli_cert.errors import BudgetExceededError, ParameterError
@@ -105,3 +108,14 @@ def test_primes_upto():
     assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert primes_upto(1) == []
     assert primes_upto(2) == [2]
+
+
+def test_both_sieve_readers_match_is_prime():
+    # primes_upto lists the sieve for small bounds, prime_array hands it to
+    # numpy for the QR check; both must list exactly the primes up to n
+    primes = [k for k in range(10**5 + 1) if is_prime(k)]
+    for n in [*range(-3, 2001), 10**5]:
+        expected = primes[: bisect_right(primes, n)]
+        assert primes_upto(n) == expected, n
+        assert prime_array(n).tolist() == expected, n
+    assert prime_array(10**5).dtype == np.int64

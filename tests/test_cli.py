@@ -245,6 +245,35 @@ def test_sweep_over_budget_refused_before_any_table(capsys):
     assert "error: obstruction sweep to modulus 1200000 needs at least" in stderr
 
 
+def test_search_box_over_budget_refused_before_any_pair(capsys, tmp_path):
+    # box 10^5 is 4 * 10^10 (x, y) pairs, minutes of sieving; the builder
+    # and verify of a certificate edited to that box both refuse it at once
+    refusal = "search box 100000 needs 40000400001 (x, y) pairs; the budget is 200000000"
+    start = time.perf_counter()
+    code, stdout, stderr = run_cli(
+        capsys, "check-diophantine", "--a", "13", "--d1", "3", "--d2", "10",
+        "--box", "100000",
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, stdout) == (1, "")
+    assert f"error: {refusal}" in stderr
+
+    # exit 2: the difference-table discrepancy every such certificate carries
+    path = tmp_path / "dio.json"
+    assert run_cli(
+        capsys, "check-diophantine", "--a", "13", "--d1", "3", "--d2", "10",
+        "--modulus-bound", "48", "--out", str(path),
+    )[0] == 2
+    doc = json.loads(path.read_text())
+    doc["search"]["box"] = 100000
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, _, stderr = run_cli(capsys, "verify", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert f"FAIL search: cannot recompute ({refusal})" in stderr
+
+
 def test_count_points(capsys):
     code, stdout, _ = run_cli(
         capsys, "count-points", "--curve", "y^2=x^3+1", "--p", "5"

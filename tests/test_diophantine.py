@@ -1,3 +1,4 @@
+import random
 import time
 from math import gcd, isqrt
 
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selli_cert import diophantine
+from selli_cert.arith import prime_array
 from selli_cert.certificates import replication_evidence
 from selli_cert.diophantine import (
     DioParams,
@@ -185,11 +187,18 @@ def test_qr_law_holds():
 
 
 def test_qr_law_refuses_bounds_past_int64():
-    # refused before the sieve allocates anything: 3037000500^2 passes 2^63,
-    # and the sieve's memory cap lies far below it
-    for bound in (3_037_000_500, diophantine._QR_SIEVE_BOUND + 1):
+    # refused before the sieve allocates anything: the Euler ladder's values
+    # reach 3p^2, which passes 2^63 from p = 1753413057 on, and the sieve's
+    # memory cap lies far below it
+    for bound in (1_753_413_057, 3_037_000_500, diophantine._QR_SIEVE_BOUND + 1):
         with pytest.raises(BudgetExceededError):
             qr_law_check(bound)
+
+
+def test_euler_ladder_matches_pow_for_every_prime_to_1e5():
+    p = prime_array(10**5)
+    ladder = diophantine._euler_ladder(p).tolist()
+    assert ladder == [pow(3, (q - 1) // 2, q) for q in p.tolist()]
 
 
 def test_residue_obstruction_mod4():
@@ -316,8 +325,11 @@ def test_sweep_plan_lists_each_prime_power_once():
 
 
 def test_sweep_refuses_past_its_budget_before_any_table(monkeypatch):
+    # every q the sweep reads starts with its square table, and a class
+    # without a witness row goes on to `_solvable_flags`; neither may run
     tables = []
-    monkeypatch.setattr(diophantine, "_solvable_flags", lambda *args: tables.append(args))
+    for name in ("_square_table", "_solvable_flags"):
+        monkeypatch.setattr(diophantine, name, lambda *args, name=name: tables.append(name))
     params = validate_dio_params(13, 3, 10)
     for bound in (1_200_000, 10**30):
         start = time.perf_counter()
@@ -325,6 +337,63 @@ def test_sweep_refuses_past_its_budget_before_any_table(monkeypatch):
             obstruction_sweep(params, bound)
         assert time.perf_counter() - start < 1
     assert tables == []
+
+
+def _table_sweep(params, bound):
+    """The sweep with every q's full table, no witness rows: the oracle."""
+    best = [None] * 12
+    for modulus, q in diophantine.sweep_plan(bound):
+        flags = diophantine._solvable_flags(params.a, params.b, params.d1, params.d2, q)
+        step = gcd(12, q)
+        for r in range(12):
+            if best[r] is None and not any(flags[r % step :: step]):
+                best[r] = modulus
+    return tuple(best)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.integers(-10**6, 10**6),
+    b=st.integers(-10**6, 10**6),
+    d1=st.integers(1, 16),
+    d2=st.integers(1, 16),
+    bound=st.integers(0, 400),
+)
+@example(a=-8, b=-72, d1=6, d2=4, bound=120)  # classes close at 48 and 108
+@example(a=-25, b=144, d1=7, d2=2, bound=200)  # classes close at 12 and 192
+def test_witness_sweep_matches_table_sweep(a, b, d1, d2, bound):
+    params = DioParams(a=a, b=b, d1=d1, d2=d2)
+    assert obstruction_sweep(params, bound).smallest_modulus == _table_sweep(params, bound)
+
+
+def test_witness_sweep_matches_table_sweep_on_a_fixed_batch():
+    rng = random.Random(7)
+    closed = set()
+    for _ in range(1500):
+        a, b = rng.randint(-40, 40), rng.randint(-300, 300)
+        params = DioParams(a=a, b=b, d1=rng.randint(1, 8), d2=rng.randint(1, 8))
+        expected = _table_sweep(params, 400)
+        assert obstruction_sweep(params, 400).smallest_modulus == expected, params
+        closed.update(expected)
+    # the batch closes classes at 8, 16, 32, 64 and at 9, 27, 81 too, where a
+    # class's rows past its witness row are built
+    assert {24, 36, 48, 96, 108, 192, 324} <= closed
+
+
+def test_witness_rows_build_a_tenth_of_the_tables(monkeypatch):
+    # classes 5 and 9 of (13, 3, 10) stay open through bound 1200, so the
+    # table sweep built every q's q x q table; witness rows settle them
+    cells = []
+    flags = diophantine._solvable_flags
+
+    def counted(a, b, d1, d2, q, rows=None):
+        cells.append(q * (q if rows is None else len(rows)))
+        return flags(a, b, d1, d2, q, rows)
+
+    monkeypatch.setattr(diophantine, "_solvable_flags", counted)
+    sweep = obstruction_sweep(validate_dio_params(13, 3, 10), 1200)
+    assert sweep.smallest_modulus == tuple(None if r in (5, 9) else 12 for r in range(12))
+    assert sum(cells) < sum(q * q for _, q in diophantine.sweep_plan(1200)) / 10
 
 
 def test_sweep_pinned_large_minimal_moduli():
