@@ -1,5 +1,5 @@
-"""Exact elementary number theory: Legendre symbols, primality, budgeted
-integer factorization and a prime sieve.
+"""Exact elementary number theory: primality, budgeted integer
+factorization and a prime sieve.
 
 Everything here is deterministic.  The primality test is the fixed-base
 Miller-Rabin battery that is *proved* correct below 3.3e24; inputs beyond
@@ -16,7 +16,6 @@ import numpy as np
 from .errors import BudgetExceededError, ParameterError
 
 __all__ = [
-    "legendre_symbol",
     "is_prime",
     "factorize",
     "prime_array",
@@ -60,17 +59,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def legendre_symbol(a: int, p: int) -> int:
-    """Legendre symbol (a|p) in {-1, 0, +1} via Euler's criterion."""
-    if p == 2 or not is_prime(p):
-        raise ParameterError(f"p = {p} must be an odd prime")
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
 
 
 def factorize(n: int, *, budget: int = 10**6) -> dict[int, int]:

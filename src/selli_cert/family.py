@@ -246,6 +246,11 @@ def y_candidates(profile: DiscriminantProfile, *, budget: int = 10**8) -> Candid
     0^d2 divides only 0.  Divisibility is on signed values; the sign is
     irrelevant and normalized away.  A box of more than `budget` values
     (2*y_max) is refused before it is enumerated.
+
+    The box is walked in pairs +-y, forming lead*y^d1 once for both:
+    Delta(-y) = const - lead*y^d1 for odd d1 (H1).  Since y divides
+    lead*y^d1, y^d2 can divide Delta(+-y) only when y divides const, so
+    y^d2 is formed only then.  Records come out in ascending y.
     """
     d2 = profile.params.d2
     y_max = y_bound(profile)
@@ -253,22 +258,25 @@ def y_candidates(profile: DiscriminantProfile, *, budget: int = 10**8) -> Candid
         raise BudgetExceededError(
             f"candidate box of {2 * y_max} values of y exceeds the budget {budget}"
         )
-    records = []
-    surviving = []
-    for y in range(-y_max, y_max + 1):
-        if y == 0:
-            continue
-        value = delta_of_y(profile, y)
-        passes = value % y**d2 == 0  # 0 is divisible by anything nonzero
-        records.append({"y": y, "delta": value, "passes": passes})
-        if passes:
-            surviving.append(y)
+    lead, const, deg = profile.lead, profile.const, profile.y_degree
+    records = [None] * (2 * y_max)  # -y_max..-1 then 1..y_max
+    for y in range(1, y_max + 1):
+        term = lead * y**deg
+        up = const + term
+        down = const - term if deg % 2 else up  # Delta(-y)
+        if const % y:
+            up_passes = down_passes = False
+        else:
+            power = y**d2
+            up_passes, down_passes = up % power == 0, down % power == 0
+        records[y_max - y] = {"y": -y, "delta": down, "passes": down_passes}
+        records[y_max + y - 1] = {"y": y, "delta": up, "passes": up_passes}
     witness = y_max + 1
     rhs = max(abs(delta_of_y(profile, witness)), abs(delta_of_y(profile, -witness)))
     return CandidateSet(
         y_max=y_max,
         candidates=tuple(records),
-        surviving=tuple(sorted(surviving)),
+        surviving=tuple(r["y"] for r in records if r["passes"]),
         boundary_y=witness,
         boundary_lhs=witness**d2,
         boundary_rhs=rhs,

@@ -11,8 +11,15 @@ The resultant follows the convention
 
 computed exactly as the determinant of the Sylvester matrix by Bareiss
 fraction-free elimination (no floating point, no modular reconstruction).
-Rational roots come from integer bisection on the monotone pieces of a
-monic associate, so no coefficient is ever factored.
+
+Rational roots are found in two steps, and no coefficient is ever factored.
+First a small prime may prove that there are none: a rational root u/v in
+lowest terms has v | lc(f), so for a prime p not dividing lc(f) it reduces
+to the root u*v^(-1) of f mod p, and f with no root in F_p has no rational
+root (the rational root theorem).  Some polynomials have a root mod every
+prime, (x^2 - 2)(x^2 - 3)(x^2 - 6) for one (Berend-Bilu 1996), so when no
+prime up to 23 is such a witness the roots come from integer bisection on
+the monotone pieces of a monic associate.
 """
 
 from __future__ import annotations
@@ -140,6 +147,24 @@ def _eval(cs: list[int], t: int) -> int:
     return acc
 
 
+# Primes tried as root-free witnesses before the bisection.  A polynomial
+# that has a rational root pays one scan of F_p for each, each stopping at
+# its first root, so the list stays short.
+_WITNESS_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def _root_free_witness(cs: tuple[int, ...]) -> int | None:
+    """The least p in _WITNESS_PRIMES with p not dividing cs[-1] and no
+    root of the polynomial cs (ascending) in F_p, or None."""
+    for p in _WITNESS_PRIMES:
+        if cs[-1] % p == 0:
+            continue
+        reduced = [c % p for c in cs]
+        if all(_eval(reduced, x) % p for x in range(p)):
+            return p
+    return None
+
+
 def _root_floors(h: list[int]) -> list[int]:
     """Sorted integers that include floor(r) for every real root r of h.
 
@@ -171,11 +196,16 @@ def _root_floors(h: list[int]) -> list[int]:
 
 
 def rational_roots(f: IntPolynomial) -> list[Fraction]:
-    """All rational roots of f, exact, sorted ascending: the t/a, a = lc(f),
-    for the integer roots t of the monic g(t) = a^(n-1)*f(t/a), n = deg f.
+    """All rational roots of f, exact, sorted ascending.
+
+    Empty as soon as `_root_free_witness` finds a prime p with no root of
+    f mod p; otherwise the t/a, a = lc(f), for the integer roots t of the
+    monic g(t) = a^(n-1)*f(t/a), n = deg f.
     """
     if f.is_zero:
         raise ParameterError("every rational is a root of the zero polynomial")
+    if _root_free_witness(f.coefficients) is not None:
+        return []
     a, n = f.leading_coefficient, f.degree
     g = [c * a ** (n - 1 - i) for i, c in enumerate(f.coefficients[:-1])] + [1]
     return sorted(Fraction(t, a) for t in _root_floors(g) if _eval(g, t) == 0)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from selli_cert.arith import (
     factorize,
     is_prime,
-    legendre_symbol,
     prime_array,
     primes_upto,
 )
@@ -42,6 +41,17 @@ def test_is_prime_refuses_beyond_proven_range():
 def test_is_prime_negative():
     with pytest.raises(ParameterError):
         is_prime(-7)
+
+
+def legendre_symbol(a: int, p: int) -> int:
+    """Legendre symbol (a|p) in {-1, 0, +1} via Euler's criterion.  The
+    library has no use for it; the tests below pin it as a reference."""
+    if p == 2 or not is_prime(p):
+        raise ParameterError(f"p = {p} must be an odd prime")
+    a %= p
+    if a == 0:
+        return 0
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 def test_legendre_known_values():

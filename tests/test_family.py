@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from selli_cert.errors import HypothesisError, ParameterError
+from selli_cert.errors import BudgetExceededError, HypothesisError, ParameterError
 from selli_cert.family import (
+    ZERO_REASON,
+    CandidateSet,
     FamilyParams,
     delta_of_y,
     discriminant_profile,
@@ -185,6 +187,69 @@ def test_y_candidates_symmetric_box():
         ys = [r["y"] for r in cs.candidates]
         assert ys == sorted(ys)
         assert set(ys) == {y for y in range(-cs.y_max, cs.y_max + 1) if y != 0}
+
+
+def _naive_y_candidates(profile, *, budget=10**8):
+    # one y at a time over the whole box, forming Delta(y) and y^d2 for each
+    d2 = profile.params.d2
+    y_max = y_bound(profile)
+    if 2 * y_max > budget:
+        raise BudgetExceededError(
+            f"candidate box of {2 * y_max} values of y exceeds the budget {budget}"
+        )
+    records = []
+    for y in range(-y_max, y_max + 1):
+        if y == 0:
+            continue
+        value = delta_of_y(profile, y)
+        records.append({"y": y, "delta": value, "passes": value % y**d2 == 0})
+    witness = y_max + 1
+    return CandidateSet(
+        y_max=y_max,
+        candidates=tuple(records),
+        surviving=tuple(r["y"] for r in records if r["passes"]),
+        boundary_y=witness,
+        boundary_lhs=witness**d2,
+        boundary_rhs=max(abs(delta_of_y(profile, s * witness)) for s in (1, -1)),
+        zero_reason=ZERO_REASON,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(3, 4), (3, 10), (3, 14), (3, 22), (3, 26), (9, 22), (9, 26)]),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=5),
+    st.sampled_from([None, 1, 3, 5]),
+    st.sampled_from(["standard", "paper-ex2"]),
+)
+@example((9, 14), 30, 0, None, "standard")  # (361, 0, 9, 14): eight survivors
+@example((9, 14), 30, 0, None, "paper-ex2")
+def test_y_candidates_match_the_per_y_loop(degrees, k, m, exponent, convention):
+    d1, d2 = degrees
+    a = 1 + 12 * k
+    b = None if exponent is None else 2**d1 * a - 3**exponent
+    try:
+        params = validate_params(a, m, d1, d2, b_override=b)
+    except HypothesisError:
+        assume(False)
+    profile = discriminant_profile(params, convention)
+    assume(y_bound(profile) <= 2000 or (a, d1, d2) == (361, 9, 14))
+    expected = _naive_y_candidates(profile)
+    assert y_candidates(profile) == expected
+    # the budget is checked before the box, with the same message
+    box = 2 * expected.y_max
+    assert y_candidates(profile, budget=box) == expected
+    with pytest.raises(BudgetExceededError) as naive:
+        _naive_y_candidates(profile, budget=box - 1)
+    with pytest.raises(BudgetExceededError) as paired:
+        y_candidates(profile, budget=box - 1)
+    assert str(paired.value) == str(naive.value)
+
+
+def test_y_candidates_keep_survivors_beyond_one():
+    prof = discriminant_profile(validate_params(361, 0, 9, 14), "standard")
+    assert y_candidates(prof).surviving == (-57, -19, -3, -1, 1, 3, 19, 57)
 
 
 def test_fixed_delta_candidates_known():

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from selli_cert.errors import ParameterError
 from selli_cert.polyring import (
+    _WITNESS_PRIMES,
     IntPolynomial,
+    _root_free_witness,
     discriminant,
     rational_roots,
     resultant,
@@ -219,3 +221,55 @@ def test_rational_roots_match_the_rational_root_theorem(f):
     if f.is_zero:
         return
     assert rational_roots(f) == _naive_rational_roots(f)
+
+
+@settings(max_examples=150)
+@given(small_poly)
+def test_witness_prime_is_the_least_root_free_reduction(f):
+    # brute force over F_p: the witness is the first prime not dividing
+    # lc(f) at which f has no root, and the root finder then answers []
+    if f.is_zero:
+        return
+    cs = f.coefficients
+
+    def root_free_mod(p):
+        return all(sum(c * x**i for i, c in enumerate(cs)) % p for x in range(p))
+
+    usable = [p for p in _WITNESS_PRIMES if cs[-1] % p and root_free_mod(p)]
+    witness = _root_free_witness(cs)
+    assert witness == (usable[0] if usable else None)
+    if witness is not None:
+        assert rational_roots(f) == []
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(min_value=-50, max_value=50),
+    st.integers(min_value=1, max_value=50),
+    small_poly.filter(lambda g: not g.is_zero),
+)
+def test_planted_rational_root_has_no_witness(u, v, g):
+    # u/v is a root of (v x - u) * g, and reduces to a root mod every p
+    # that does not divide v, so no prime can witness "no rational root"
+    f = P(-u, v) * g
+    assert _root_free_witness(f.coefficients) is None
+    assert Fraction(u, v) in rational_roots(f)
+
+
+PRIMORIAL_23 = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
+
+
+@pytest.mark.parametrize(
+    "f, roots",
+    [
+        # every witness prime divides the leading coefficient
+        (P(-1, 0, PRIMORIAL_23), []),
+        (P(-1, PRIMORIAL_23) * P(-2, 1), [Fraction(1, PRIMORIAL_23), Fraction(2)]),
+        # a root mod every prime and no rational root (Berend-Bilu)
+        (P(-2, 0, 1) * P(-3, 0, 1) * P(-6, 0, 1), []),
+        (P(-2, 0, 1) * P(-3, 0, 1) * P(-6, 0, 1) * P(5, 3), [Fraction(-5, 3)]),
+    ],
+)
+def test_no_witness_falls_back_to_the_exact_search(f, roots):
+    assert _root_free_witness(f.coefficients) is None
+    assert rational_roots(f) == roots
