@@ -6,9 +6,9 @@ computed-vs-claimed replication evidence verbatim; divergences surface as
 first-class `discrepancies` entries, never silently.
 
 Canonical JSON: sorted keys, arbitrary-precision integers rendered exactly,
-rationals as "p/q" strings, stable across runs and thread counts.  Both
-kinds write `"timing": null`: schema selli-cert/1 fixes that key, and no
-wall time is ever recorded, so output is byte-reproducible.
+rationals as "p/q" strings, stable across runs.  Both kinds write
+`"timing": null`: schema selli-cert/1 fixes that key, and no wall time is
+ever recorded, so output is byte-reproducible.
 
 Every block that `verify` rebuilds has one producer here, shared by the
 builder and the verifier: `params_block`, `profile_block`,
@@ -362,7 +362,6 @@ def build_torsion_certificate(
     genus: "jac.GenusSpec | None" = None,
     prime_bound: int | None = None,
     budget: int = 10**8,
-    threads: int = 1,
 ) -> TorsionCertificate:
     """Run the torsion pipeline and assemble its certificate.
 
@@ -386,7 +385,6 @@ def build_torsion_certificate(
             genus_used,
             prime_bound if prime_bound is not None else DEFAULT_PRIME_BOUND,
             budget=budget,
-            threads=threads,
         )
         return prime_scan.certificate is not None
 

@@ -20,10 +20,9 @@ from .certificates import (
     build_torsion_certificate,
     canonical_json,
 )
-from .errors import HypothesisError, SelliCertError
+from .errors import HypothesisError, ParameterError, SelliCertError
 from .family import CONVENTIONS, discriminant_profile, validate_params, y_candidates
 from .ffield import CurveEquation, PointCountTable, count_points
-from .parallel import resolve_threads
 from .polyring import IntPolynomial, discriminant
 from .verify import verify_certificate
 
@@ -46,7 +45,15 @@ def _say(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _check_threads(args) -> None:
+    """`--threads N` is accepted and selects nothing (every count runs in
+    one thread); N < 1 is still refused."""
+    if args.threads is not None and args.threads < 1:
+        raise ParameterError("thread count must be >= 1")
+
+
 def _cmd_analyze_curve(args) -> int:
+    _check_threads(args)
     params = validate_params(args.a, args.m, args.d1, args.d2, args.b_override)
     genus = None
     if args.genus is not None:
@@ -57,7 +64,6 @@ def _cmd_analyze_curve(args) -> int:
         genus=genus,
         prime_bound=args.prime_bound,
         budget=args.budget,
-        threads=resolve_threads(args.threads),
     )
     _emit(cert.to_dict(), args.out)
     _say(
@@ -95,6 +101,7 @@ def _cmd_check_diophantine(args) -> int:
 
 
 def _cmd_count_points(args) -> int:
+    _check_threads(args)
     curve = CurveEquation.parse(args.curve)
     k, n_k = count_points(
         curve,
@@ -102,7 +109,6 @@ def _cmd_count_points(args) -> int:
         args.k,
         infinity_count=args.infinity_count,
         budget=args.budget,
-        threads=resolve_threads(args.threads),
     )
     _emit(
         {

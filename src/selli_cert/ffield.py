@@ -3,12 +3,14 @@
     F(x, y) = y^d2 - m*x*y - f(x) = 0
 
 over F_{p^k}.  This is the performance-critical core.  Every count is exact
-and elementary (no Schoof-style shortcuts): without the mixed term it is a
-histogram of y^d2 looked up at f(x); with it, a substitution y = lambda*u
-per x reduces each fiber to a lookup in one of gcd(d2-1, q-1) histograms
-of u^d2 - gamma^j*u, built from discrete-log tables of F_q*.  Both kernels
-do O(q) vectorized field operations, and an independent, deliberately
-naive oracle is kept in the test suite.
+and elementary (no Schoof-style shortcuts) and reads the discrete-log
+tables of F_q*.  Without the mixed term each fibre has a closed form:
+#{y : y^n = c} is 1 at c = 0, gcd(n, q-1) when log c = 0 mod gcd(n, q-1),
+and 0 otherwise.  With it, a substitution y = lambda*u per x != 0 reduces
+each fibre to a lookup in one of gcd(d2-1, q-1) histograms of
+u^d2 - gamma^j*u.  Both do O(q) vectorized field operations in one
+thread, and an independent, deliberately naive oracle is kept in the test
+suite.
 
 Field data is built once per process: `find_irreducible` and the discrete-log
 tables (`_log_tables`) are memoized per field, the tables read-only and
@@ -26,10 +28,9 @@ element with coefficients (e_0, ..., e_{k-1}) (ascending) is indexed by
 sum e_i * p^i, so index order equals lex order and every enumeration loop
 is reproducible.
 
-The count without the mixed term is split over fixed-size x-chunks whose
-boundaries depend only on the field size; per-chunk counts are exact
-integers summed in chunk order, so results are bitwise identical for any
-thread count.  The mixed-term count runs in one thread.
+f is evaluated over F_q in fixed blocks of 65,536 elements, in index
+order, so the temporaries of its field products are bounded by the block,
+not by q.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ import numpy as np
 from .arith import factorize, is_prime
 from .errors import BudgetExceededError, ParameterError
 from .family import _xcoeff_scale
-from .parallel import chunk_ranges, map_chunks
 
 __all__ = [
     "PrimeField",
@@ -66,6 +66,8 @@ DEFAULT_COUNT_BUDGET = 10**8
 # Bytes of per-field exp/log tables kept between counts (LRU).  Prime-scan
 # fields hold a few kB each; F_{7^7} alone needs about 60 MB and is not kept.
 FIELD_TABLE_CACHE_BYTES = 16 * 2**20
+# Elements of F_q per block of f evaluations.
+_X_BLOCK = 65536
 
 _MAX_P = 2**31
 
@@ -333,19 +335,6 @@ def _reduce_conv(conv: np.ndarray, field: ExtField) -> np.ndarray:
     return conv[:, :k]
 
 
-def _pow_rows(a: np.ndarray, e: int, field: ExtField) -> np.ndarray:
-    p, k = field.base.p, field.k
-    result = np.zeros_like(a)
-    result[:, 0] = 1
-    base = a % p
-    while e:
-        if e & 1:
-            result = _mul_rows(result, base, field)
-        base = _mul_rows(base, base, field)
-        e >>= 1
-    return result
-
-
 def _eval_f_rows(x: np.ndarray, coeffs: tuple[int, ...], field: ExtField) -> np.ndarray:
     """Horner evaluation of a base-field-coefficient polynomial at each row."""
     p = field.base.p
@@ -445,44 +434,69 @@ def _build_log_tables(field: ExtField) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return exp, log, exp_packed
 
 
+def _f_blocks(curve: CurveEquationModP, field: ExtField):
+    """(lo, packed f(x) for lo <= x < lo + len) over F_q, in index-order
+    blocks of _X_BLOCK elements."""
+    p, k, q = field.base.p, field.k, field.q
+    for lo in range(0, q, _X_BLOCK):
+        xs = _element_digits(p, k, lo, min(lo + _X_BLOCK, q))
+        yield lo, _pack(_eval_f_rows(xs, curve.f_coefficients, field), p)
+
+
+def _root_count(values: np.ndarray, n: int, log: np.ndarray) -> int:
+    """Sum over the packed elements c in `values` of #{y in F_q : y^n = c},
+    read off the field's discrete-log table `log` (`_log_tables`).
+
+    F_q* is cyclic of order q - 1, so with g = gcd(n, q - 1) the fibre over
+    c != 0 has g elements when g divides log c and none otherwise; the
+    fibre over 0 is {0}.
+    """
+    g = gcd(n, log.size - 1)
+    nonzero = values[values != 0]
+    return values.size - nonzero.size + g * int(np.count_nonzero(log[nonzero] % g == 0))
+
+
 def _count_mixed(curve: CurveEquationModP, field: ExtField, m: int) -> int:
     """#{(x, y) : y^d2 - m*x*y = f(x)} for m != 0 in O(q) field operations.
 
-    For x = 0 the count is #{y : y^d2 = f(0)}.  For x != 0 put c = m*x,
-    l = log c, n = d2 - 1 and g = gcd(n, q - 1); then j = l mod g picks
-    the coset of c modulo the n-th powers, and gamma^(l - j) = lambda^n with
-    lambda = gamma^t, n*t = l - j (mod q - 1).  Substituting y = lambda*u
-    turns y^d2 - c*y = f(x) into u^d2 - gamma^j*u = f(x)*lambda^(-d2), so
-    the count is H_j[f(x)*lambda^(-d2)], where H_j is the histogram of
-    u^d2 - gamma^j*u over F_q.  Only the g histograms H_0..H_{g-1} are
-    built, one at a time.
+    For x = 0 the count is #{y : y^d2 = f(0)} (`_root_count`).  For x != 0
+    put c = m*x, l = log c, n = d2 - 1 and g = gcd(n, q - 1); then
+    j = l mod g picks the coset of c modulo the n-th powers, and
+    gamma^(l - j) = lambda^n with lambda = gamma^t, n*t = l - j (mod q - 1).
+    Substituting y = lambda*u turns y^d2 - c*y = f(x) into
+    u^d2 - gamma^j*u = f(x)*lambda^(-d2), so the count is
+    H_j[f(x)*lambda^(-d2)], where H_j is the histogram of u^d2 - gamma^j*u
+    over F_q.  Only the g histograms H_0..H_{g-1} are built, one at a time,
+    after every x has its (j, target).
     """
-    p, k, q = field.base.p, field.k, field.q
+    p, q = field.base.p, field.q
     order = q - 1
     d2 = curve.d2 % order  # exponents of gamma live mod q - 1
     exp, log, exp_packed = _log_tables(field)
-    fx = _pack(_eval_f_rows(_element_digits(p, k, 0, q), curve.f_coefficients, field), p)
-
-    logs = log[1:]  # log of every nonzero element, in index order
-    ud2 = exp[(d2 * logs) % order]  # u^d2 for u != 0
-    # x = 0: #{y : y^d2 = f(0)}, where y = 0 gives 0
-    total = int(np.count_nonzero(_pack(ud2, p) == fx[0])) + int(fx[0] == 0)
-
     n = curve.d2 - 1
     g = gcd(n, order)
     reduced_order = order // g
     inv = pow(n // g, -1, reduced_order) if reduced_order > 1 else 0
-    ell = (log[m] + logs) % order  # log(m*x) for x != 0
-    coset = ell % g
-    t = ((ell - coset) // g * inv) % reduced_order
-    fxs = fx[1:]
-    target = np.where(fxs != 0, exp_packed[(log[fxs] - d2 * t) % order], 0)
+
+    total = 0
+    blocks = []  # (j, packed f(x)*lambda^(-d2)) of each block's x != 0
+    for lo, fx in _f_blocks(curve, field):
+        if lo == 0:
+            total += _root_count(fx[:1], curve.d2, log)
+            lo, fx = 1, fx[1:]
+        ell = (log[m] + log[lo : lo + fx.size]) % order  # log(m*x)
+        coset = ell % g
+        t = ((ell - coset) // g * inv) % reduced_order
+        blocks.append((coset, np.where(fx != 0, exp_packed[(log[fx] - d2 * t) % order], 0)))
+
+    logs = log[1:]  # log of every nonzero element, in index order
+    ud2 = exp[(d2 * logs) % order]  # u^d2 for u != 0
     for j in range(g):
         # u = 0 contributes u^d2 - gamma^j*u = 0
         values = _pack((ud2 - exp[(logs + j) % order]) % p, p)
         hist = np.bincount(values, minlength=q)
         hist[0] += 1
-        total += int(hist[target[coset == j]].sum())
+        total += sum(int(hist[target[coset == j]].sum()) for coset, target in blocks)
     return total
 
 
@@ -506,17 +520,17 @@ def count_affine(
     field: ExtField,
     *,
     budget: int = DEFAULT_COUNT_BUDGET,
-    threads: int = 1,
 ) -> int:
     """Exact #{(x, y) in F_q^2 : y^d2 - m*x*y - f(x) = 0}.
 
-    When the mixed term vanishes the count is a histogram pass over y^d2,
-    split over fixed-size x-chunks that `threads` workers share.  Otherwise
-    (`_count_mixed`) the substitution y = lambda*u with lambda^(d2-1) =
-    m*x/gamma^j moves every x != 0 onto one of g = gcd(d2-1, q-1)
-    histograms of u^d2 - gamma^j*u, for O(q*(g + k^2*deg f)) work in one
-    thread, reading the field's log tables, which are built once per
-    process and shared by every count over the same field.
+    f is evaluated in blocks of F_q (`_f_blocks`).  When the mixed term
+    vanishes, every fibre #{y : y^d2 = f(x)} has the closed form of
+    `_root_count`.  Otherwise (`_count_mixed`) the substitution
+    y = lambda*u with lambda^(d2-1) = m*x/gamma^j moves every x != 0 onto
+    one of g = gcd(d2-1, q-1) histograms of u^d2 - gamma^j*u, for
+    O(q*(g + k^2*deg f)) work.  Both read the field's log tables, which
+    are built once per process and shared by every count over the same
+    field.
 
     The count is priced (`_price_count`) and refused before any table is
     built when its work figure exceeds the budget.
@@ -524,22 +538,12 @@ def count_affine(
     p = field.base.p
     if curve.p.p != p:
         raise ParameterError("curve and field characteristics differ")
-    q = field.q
-    k = field.k
-    _price_count(curve, q, budget)
+    _price_count(curve, field.q, budget)
     m = curve.m % p
     if m != 0:
         return _count_mixed(curve, field, m)
-
-    ys = _element_digits(p, k, 0, q)
-    counts = np.bincount(_pack(_pow_rows(ys, curve.d2, field), p), minlength=q)
-
-    def chunk_count(rng):
-        lo, hi = rng
-        fx = _eval_f_rows(_element_digits(p, k, lo, hi), curve.f_coefficients, field)
-        return int(counts[_pack(fx, p)].sum())
-
-    return sum(map_chunks(chunk_count, chunk_ranges(q, 65536), threads))
+    log = _log_tables(field)[1]
+    return sum(_root_count(fx, curve.d2, log) for _, fx in _f_blocks(curve, field))
 
 
 def count_points(
@@ -551,12 +555,16 @@ def count_points(
     budget: int = DEFAULT_COUNT_BUDGET,
     threads: int = 1,
 ) -> tuple[int, int]:
-    """(k, N_k) with N_k = affine count over F_{p^k} + infinity_count."""
+    """(k, N_k) with N_k = affine count over F_{p^k} + infinity_count.
+
+    `threads` is accepted for existing callers and selects nothing: every
+    count runs in one thread.
+    """
     if infinity_count < 0:
         raise ParameterError("infinity_count must be >= 0")
     field = find_irreducible(p, k)
     reduced = CurveEquationModP.reduce(curve, p)
-    affine = count_affine(reduced, field, budget=budget, threads=threads)
+    affine = count_affine(reduced, field, budget=budget)
     return (k, affine + infinity_count)
 
 
@@ -566,7 +574,6 @@ def build_count_table(
     ks,
     *,
     budget: int = DEFAULT_COUNT_BUDGET,
-    threads: int = 1,
 ) -> PointCountTable:
     """N_k for each k in ks, each with one point at infinity.
 
@@ -580,7 +587,7 @@ def build_count_table(
     for k in ks:
         _price_count(reduced, p**k, budget)
     entries = tuple(
-        (k, count_affine(reduced, find_irreducible(p, k), budget=budget, threads=threads) + 1)
+        (k, count_affine(reduced, find_irreducible(p, k), budget=budget) + 1)
         for k in ks
     )
     return PointCountTable(entries=entries, infinity_count=1)
@@ -616,14 +623,15 @@ def is_smooth_mod_p(
     if p * p > budget:
         raise BudgetExceededError(f"smoothness scan p^2 = {p*p} exceeds budget {budget}")
     m = curve.m % p
-    field = ExtField(base=curve.p, k=1, modulus=(0, 1))  # F_p: one digit per element
+    field = find_irreducible(p, 1)  # its tables serve the k = 1 count too
+    _, log, exp_packed = _log_tables(field)
     ys = np.arange(p, dtype=np.int64)
-    yd2m1 = _pow_rows(ys[:, None], curve.d2 - 1, field)
-    yd2 = _mul_rows(yd2m1, ys[:, None], field)[:, 0]
-    yd2m1 = yd2m1[:, 0]
+    yd2m1 = exp_packed[((curve.d2 - 1) % (p - 1)) * log % (p - 1)]
+    yd2m1[0] = 0  # 0^(d2-1) = 0, as d2 >= 2
+    yd2 = (yd2m1 * ys) % p
     fprime = tuple((i * c) % p for i, c in enumerate(fc) if i > 0)
-    for lo, hi in chunk_ranges(p, 4096):
-        xs = np.arange(lo, hi, dtype=np.int64)
+    for lo in range(0, p, 4096):
+        xs = np.arange(lo, min(lo + 4096, p), dtype=np.int64)
         fx = _eval_f_rows(xs[:, None], fc, field)[:, 0]
         fpx = _eval_f_rows(xs[:, None], fprime, field)[:, 0]
         mx = (m * xs) % p

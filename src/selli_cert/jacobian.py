@@ -213,7 +213,6 @@ def find_certificate_primes(
     prime_bound: int,
     *,
     budget: int = DEFAULT_COUNT_BUDGET,
-    threads: int = 1,
 ) -> PrimeScan:
     """Deterministic scan for two good primes with coprime Jacobian orders.
 
@@ -236,9 +235,7 @@ def find_certificate_primes(
         try:
             smooth = is_smooth_mod_p(reduced, budget=budget)
             if smooth.smooth:
-                counts = build_count_table(
-                    curve, p, range(1, genus.g + 1), budget=budget, threads=threads
-                )
+                counts = build_count_table(curve, p, range(1, genus.g + 1), budget=budget)
             else:
                 reason = smooth.reason or "not smooth"
                 if smooth.witness is not None:

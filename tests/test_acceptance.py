@@ -180,7 +180,7 @@ def test_criterion_09_genus2_three_field_consistency():
             11: ((1, 7, 31, 77, 121), 1255, (188, 48)),
         }
         for p, (lcoeffs, n3, (a_term, b_term)) in expected.items():
-            table = build_count_table(q, p, [1, 2], threads=2)
+            table = build_count_table(q, p, [1, 2])
             lp = l_polynomial_from_counts(p, genus, table)
             assert lp.coefficients == lcoeffs, p
             direct = count_points(q, p, 3, threads=2)[1]

@@ -32,7 +32,7 @@ def torsion_doc(a=13, m=1, d1=3, d2=10, convention="standard", **kw):
 
 
 def default_build_kw():
-    return dict(genus=None, prime_bound=None, budget=10**8, threads=1)
+    return dict(genus=None, prime_bound=None, budget=10**8)
 
 
 def test_canonical_json_stable():
@@ -161,7 +161,6 @@ def test_torsion_scan_round_trip_verifies():
         genus=GenusSpec(g=7, source=GENUS_USER),
         prime_bound=30,
         budget=10**6,
-        threads=1,
     )
     doc = cert.to_dict()
     assert doc["genus"] == {"g": 7, "source": GENUS_USER}
@@ -731,21 +730,3 @@ def test_dio_verify_recomputes_once(monkeypatch):
 def test_unknown_kind_rejected():
     assert verify_certificate({"schema": "selli-cert/1", "kind": "nonsense"}) != []
     assert verify_certificate({"schema": "other/9", "kind": "torsion-triviality"}) != []
-
-
-def test_byte_identical_across_threads():
-    params = validate_params(13, 1, 3, 10)
-    texts = {
-        canonical_json(
-            build_torsion_certificate(
-                params,
-                "standard",
-                genus=None,
-                prime_bound=None,
-                budget=10**8,
-                threads=t,
-            ).to_dict()
-        )
-        for t in (1, 2, 8)
-    }
-    assert len(texts) == 1

@@ -282,6 +282,21 @@ def test_count_points(capsys):
     assert json.loads(stdout)["n_k"] == 6
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze-curve", "--a", "13", "--m", "1", "--d1", "3", "--d2", "10"),
+        ("count-points", "--curve", "y^2=x^3+1", "--p", "5"),
+    ],
+    ids=["analyze-curve", "count-points"],
+)
+def test_thread_count_below_one_exits_1(capsys, argv):
+    code, stdout, stderr = run_cli(capsys, *argv, "--threads", "0")
+    assert code == 1
+    assert stdout == ""
+    assert "thread count must be >= 1" in stderr
+
+
 def test_count_points_budget_exit(capsys):
     code, _, stderr = run_cli(
         capsys,

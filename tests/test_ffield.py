@@ -1,4 +1,5 @@
 import itertools
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -197,6 +198,28 @@ def test_mixed_count_pinned(pk):
     assert count_affine(reduced, find_irreducible(p, k)) == MIXED_PINNED[pk]
 
 
+# affine counts without the mixed term, recorded from a kernel that built the
+# histogram of y^d2 by repeated squaring; both fields span more than one
+# 65,536-element block of x, and gcd(12, 257^2 - 1) = 12
+PURE_PINNED = {("y^12=13x^3-102", 257, 2): 66819, ("y^10=13x^3-102", 7, 6): 117935}
+
+
+@pytest.mark.parametrize("case", sorted(PURE_PINNED), ids=lambda c: f"{c[0]}@{c[1]}^{c[2]}")
+def test_pure_count_pinned(case):
+    text, p, k = case
+    reduced = CurveEquationModP.reduce(CurveEquation.parse(text), p)
+    assert count_affine(reduced, find_irreducible(p, k)) == PURE_PINNED[case]
+
+
+def test_count_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a point count started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    curve = CurveEquation.parse("y^12=13x^3-102")
+    assert count_points(curve, 257, 2, threads=8) == (2, 66819 + 1)
+
+
 @pytest.mark.parametrize("pk", [(2, 1), (2, 3), (3, 1), (5, 2), (7, 3), (13, 2)])
 def test_log_tables_cover_the_group(pk):
     from selli_cert.ffield import _log_tables, _pack
@@ -315,6 +338,9 @@ def test_subfield_count_monotone():
 @example((3, 3), 3, [2, 1, 0, 1], 2)  # g = 2
 @example((7, 2), 7, [-3, 0, 0, 1], 1)  # g = 6
 @example((3, 3), 5, [1, 1], 6)  # m = 0 (mod 3)
+@example((3, 2), 3, [1, 2, 1], 0)  # m = 0, gcd(d2, q-1) = 1
+@example((7, 1), 2, [-1, 0, 1], 7)  # m = 0 (mod 7), f has the roots +-1
+@example((5, 2), 4, [0, 1, 0, 1], 1)  # f(0) = 0: the x = 0 fibre is {0}
 def test_count_matches_naive_oracle(pk, d2, f_coeffs, m):
     p, k = pk
     if f_coeffs[-1] == 0:
