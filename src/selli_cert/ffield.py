@@ -3,14 +3,17 @@
     F(x, y) = y^d2 - m*x*y - f(x) = 0
 
 over F_{p^k}.  This is the performance-critical core.  Every count is exact
-and elementary (no Schoof-style shortcuts) and reads the discrete-log
-tables of F_q*.  Without the mixed term each fibre has a closed form:
-#{y : y^n = c} is 1 at c = 0, gcd(n, q-1) when log c = 0 mod gcd(n, q-1),
-and 0 otherwise.  With it, a substitution y = lambda*u per x != 0 reduces
-each fibre to a lookup in one of gcd(d2-1, q-1) histograms of
-u^d2 - gamma^j*u.  Both do O(q) vectorized field operations in one
-thread, and an independent, deliberately naive oracle is kept in the test
-suite.
+and elementary (no Schoof-style shortcuts) and runs in discrete-log
+coordinates: with F_q* = <gamma>, a nonzero element is its log, a product is
+a sum of logs, and a sum is one lookup in the field's table of Zech
+logarithms, 1 + gamma^n = gamma^Z(n) (Lidl-Niederreiter, Finite Fields,
+10.3).  Without the mixed term each fibre has a closed form: #{y : y^n = c}
+is 1 at c = 0, gcd(n, q-1) when log c = 0 mod gcd(n, q-1), and 0 otherwise.
+With it, a substitution y = lambda*u per x != 0 reduces each fibre to a
+lookup in one of gcd(d2-1, q-1) histograms of u^d2 - gamma^j*u.  Both do
+O(q) lookups in one thread, over blocks of _X_BLOCK elements, and an
+independent, deliberately naive oracle is kept in the test suite.  The
+smoothness scan over F_p is O(p), as each x allows at most one singular y.
 
 Field data is built once per process: `find_irreducible` and the discrete-log
 tables (`_log_tables`) are memoized per field, the tables read-only and
@@ -27,10 +30,6 @@ the lexicographically smallest monic irreducible of degree k, where tuples
 element with coefficients (e_0, ..., e_{k-1}) (ascending) is indexed by
 sum e_i * p^i, so index order equals lex order and every enumeration loop
 is reproducible.
-
-f is evaluated over F_q in fixed blocks of 65,536 elements, in index
-order, so the temporaries of its field products are bounded by the block,
-not by q.
 """
 
 from __future__ import annotations
@@ -63,10 +62,10 @@ __all__ = [
 ]
 
 DEFAULT_COUNT_BUDGET = 10**8
-# Bytes of per-field exp/log tables kept between counts (LRU).  Prime-scan
-# fields hold a few kB each; F_{7^7} alone needs about 60 MB and is not kept.
+# Bytes of per-field exp/log/Zech tables (24*q) kept between counts (LRU).
+# Prime-scan fields hold under 0.3 MB each; F_{7^7} needs 20 MB, not kept.
 FIELD_TABLE_CACHE_BYTES = 16 * 2**20
-# Elements of F_q per block of f evaluations.
+# Elements of F_q (or histogram cells) per block of vectorized lookups.
 _X_BLOCK = 65536
 
 _MAX_P = 2**31
@@ -187,12 +186,7 @@ def find_irreducible(p: int, k: int) -> ExtField:
     if k == 1:
         return ExtField(base=base, k=1, modulus=(0, 1))
     for n in range(p**k):
-        coeffs = []
-        t = n
-        for _ in range(k):
-            coeffs.append(t % p)
-            t //= p
-        mod = tuple(coeffs) + (1,)
+        mod = tuple((n // p**i) % p for i in range(k)) + (1,)
         if _is_irreducible(mod, p):
             return ExtField(base=base, k=k, modulus=mod)
     raise AssertionError("an irreducible polynomial of every degree exists")
@@ -299,51 +293,22 @@ class SmoothnessResult:
     reason: str | None
 
 
-# ---- vectorized extension arithmetic on digit matrices ----
-
-def _element_digits(p: int, k: int, lo: int, hi: int) -> np.ndarray:
-    idx = np.arange(lo, hi, dtype=np.int64)
-    out = np.empty((hi - lo, k), dtype=np.int64)
-    for i in range(k):
-        out[:, i] = idx % p
-        idx = idx // p
-    return out
-
+# ---- field tables: discrete logs and Zech logarithms ----
 
 def _mul_rows(a: np.ndarray, b: np.ndarray, field: ExtField) -> np.ndarray:
     """Row-wise field product of two (n, k) digit matrices."""
-    p, k = field.base.p, field.k
+    p, k, mod = field.base.p, field.k, field.modulus
     if k == 1:
         return (a * b) % p
     conv = np.zeros((a.shape[0], 2 * k - 1), dtype=np.int64)
     for i in range(k):
         for j in range(k):
             conv[:, i + j] = (conv[:, i + j] + a[:, i] * b[:, j]) % p
-    return _reduce_conv(conv, field)
-
-
-def _reduce_conv(conv: np.ndarray, field: ExtField) -> np.ndarray:
-    """Reduce a (n, 2k-1) convolution against the monic modulus."""
-    p, k = field.base.p, field.k
-    mod = field.modulus
-    for d in range(conv.shape[1] - 1, k - 1, -1):
-        c = conv[:, d]
+    for d in range(2 * k - 2, k - 1, -1):  # reduce against the monic modulus
         for i in range(k):
             if mod[i]:
-                conv[:, d - k + i] = (conv[:, d - k + i] - c * mod[i]) % p
-        conv[:, d] = 0
+                conv[:, d - k + i] = (conv[:, d - k + i] - conv[:, d] * mod[i]) % p
     return conv[:, :k]
-
-
-def _eval_f_rows(x: np.ndarray, coeffs: tuple[int, ...], field: ExtField) -> np.ndarray:
-    """Horner evaluation of a base-field-coefficient polynomial at each row."""
-    p = field.base.p
-    acc = np.zeros_like(x)
-    acc[:, 0] = coeffs[-1] % p
-    for c in reversed(coeffs[:-1]):
-        acc = _mul_rows(acc, x, field)
-        acc[:, 0] = (acc[:, 0] + c) % p
-    return acc
 
 
 def _pack(digits: np.ndarray, p: int) -> np.ndarray:
@@ -405,98 +370,116 @@ _FIELD_TABLES = _TableCache(FIELD_TABLE_CACHE_BYTES)
 
 
 def _log_tables(field: ExtField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(exp, log, exp_packed): exp[i] = digits of gamma^i for 0 <= i < q-1,
-    log[index of gamma^i] = i (log[0] is unused), and exp_packed[i] = index
-    of gamma^i.
+    """(exp_packed, log, zech) of F_q* = <gamma>, memoized per field in
+    `_FIELD_TABLES`, so the arrays are shared and read-only:
 
-    Memoized per field in `_FIELD_TABLES`, so the arrays are shared and
-    read-only.  exp is built by doubling: rows [n, 2n) are rows [0, n)
-    times gamma^n.
+    - exp_packed[i] = index (`_pack`) of gamma^i, for 0 <= i < q-1;
+    - log[exp_packed[i]] = i, and log[0] = q-1 stands for the log of 0;
+    - zech[n] = log(1 + gamma^n), Zech's logarithm, so that
+      gamma^a + gamma^b = gamma^(a + zech[b - a]); it is q-1 exactly at
+      n = log(-1).
     """
     return _FIELD_TABLES.get(field, lambda: _build_log_tables(field))
 
 
 def _build_log_tables(field: ExtField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The digits of gamma^i are built for one block of n >= _X_BLOCK
+    exponents (or all q-1) by doubling: rows [n, 2n) are rows [0, n) times
+    gamma^n.  Each later block is the previous one times gamma^n, and only
+    the packed indices are kept."""
     p, k, q = field.base.p, field.k, field.q
-    exp = np.zeros((1, k), dtype=np.int64)
-    exp[0, 0] = 1
-    step = _primitive_root(field)
-    while exp.shape[0] < q - 1:
-        shifted = _mul_rows(exp, np.broadcast_to(step, exp.shape), field)
-        exp = np.concatenate([exp, shifted])
-        step = _mul_rows(step, step, field)
-    exp = exp[: q - 1].copy()  # own buffer, so nbytes is what the cache holds
-    exp_packed = _pack(exp, p)
-    log = np.zeros(q, dtype=np.int64)
-    log[exp_packed] = np.arange(q - 1, dtype=np.int64)
-    for table in (exp, log, exp_packed):
-        table.flags.writeable = False
-    return exp, log, exp_packed
-
-
-def _f_blocks(curve: CurveEquationModP, field: ExtField):
-    """(lo, packed f(x) for lo <= x < lo + len) over F_q, in index-order
-    blocks of _X_BLOCK elements."""
-    p, k, q = field.base.p, field.k, field.q
-    for lo in range(0, q, _X_BLOCK):
-        xs = _element_digits(p, k, lo, min(lo + _X_BLOCK, q))
-        yield lo, _pack(_eval_f_rows(xs, curve.f_coefficients, field), p)
-
-
-def _root_count(values: np.ndarray, n: int, log: np.ndarray) -> int:
-    """Sum over the packed elements c in `values` of #{y in F_q : y^n = c},
-    read off the field's discrete-log table `log` (`_log_tables`).
-
-    F_q* is cyclic of order q - 1, so with g = gcd(n, q - 1) the fibre over
-    c != 0 has g elements when g divides log c and none otherwise; the
-    fibre over 0 is {0}.
-    """
-    g = gcd(n, log.size - 1)
-    nonzero = values[values != 0]
-    return values.size - nonzero.size + g * int(np.count_nonzero(log[nonzero] % g == 0))
-
-
-def _count_mixed(curve: CurveEquationModP, field: ExtField, m: int) -> int:
-    """#{(x, y) : y^d2 - m*x*y = f(x)} for m != 0 in O(q) field operations.
-
-    For x = 0 the count is #{y : y^d2 = f(0)} (`_root_count`).  For x != 0
-    put c = m*x, l = log c, n = d2 - 1 and g = gcd(n, q - 1); then
-    j = l mod g picks the coset of c modulo the n-th powers, and
-    gamma^(l - j) = lambda^n with lambda = gamma^t, n*t = l - j (mod q - 1).
-    Substituting y = lambda*u turns y^d2 - c*y = f(x) into
-    u^d2 - gamma^j*u = f(x)*lambda^(-d2), so the count is
-    H_j[f(x)*lambda^(-d2)], where H_j is the histogram of u^d2 - gamma^j*u
-    over F_q.  Only the g histograms H_0..H_{g-1} are built, one at a time,
-    after every x has its (j, target).
-    """
-    p, q = field.base.p, field.q
     order = q - 1
+    rows = np.zeros((1, k), dtype=np.int64)
+    rows[0, 0] = 1
+    step = _primitive_root(field)
+    while rows.shape[0] < min(order, _X_BLOCK):
+        shifted = _mul_rows(rows, np.broadcast_to(step, rows.shape), field)
+        rows = np.concatenate([rows, shifted])
+        step = _mul_rows(step, step, field)
+    n = rows.shape[0]  # rows hold gamma^0 .. gamma^(n-1), and step is gamma^n
+    exp_packed = np.empty(order, dtype=np.int64)
+    for lo in range(0, order, n):
+        if lo:
+            rows = _mul_rows(rows, np.broadcast_to(step, rows.shape), field)
+        exp_packed[lo : lo + n] = _pack(rows[: order - lo], p)
+    log = np.empty(q, dtype=np.int64)
+    log[exp_packed] = np.arange(order, dtype=np.int64)
+    log[0] = order
+    # 1 + gamma^n adds 1 to digit 0 of gamma^n, which wraps from p-1 to 0
+    # without a carry
+    plus_one = exp_packed + 1
+    plus_one[exp_packed % p == p - 1] -= p
+    zech = log[plus_one]
+    for table in (exp_packed, log, zech):
+        table.flags.writeable = False
+    return exp_packed, log, zech
+
+
+def _f_logs(terms, i: np.ndarray, order: int, zech: np.ndarray) -> np.ndarray:
+    """log f(gamma^i) at each exponent in `i`, `order` = q-1 where it is 0.
+
+    `terms` holds (e, log c_e) for the nonzero coefficients c_e of f.  Each
+    monomial is gamma^(log c_e + e*i), and they are summed by Zech additions.
+    """
+    if not terms:  # f = 0 mod p
+        return np.full_like(i, order)
+    (e, log_c), rest = terms[0], terms[1:]
+    acc = (log_c + e * i) % order
+    for n, (e, log_c) in enumerate(rest):
+        t = (log_c + e * i) % order
+        z = zech[(t - acc) % order]
+        joined = np.where(z == order, order, (acc + z) % order)
+        acc = np.where(acc == order, t, joined) if n else joined
+    return acc
+
+
+def _mixed_fibres(curve, m: int, terms, field: ExtField, log, zech) -> int:
+    """Sum over x != 0 of #{y : y^d2 - m*x*y = f(x)}, in O(q) table lookups.
+
+    Put x = gamma^i, l = log(m*x), n = d2 - 1 and g = gcd(n, q - 1); then
+    j = l mod g picks the coset of m*x modulo the n-th powers, and
+    gamma^(l - j) = lambda^n with lambda = gamma^t, n*t = l - j (mod q - 1).
+    Substituting y = lambda*u turns y^d2 - m*x*y = f(x) into
+    u^d2 - gamma^j*u = f(x)*lambda^(-d2), so the fibre is
+    H_j[f(x)*lambda^(-d2)], where H_j is the histogram of u^d2 - gamma^j*u
+    over F_q.  At u = gamma^s, u^d2 - gamma^j*u is one Zech lookup,
+    gamma^(d2*s) * (1 + gamma^(log(-1) + j + (1 - d2)*s)).  Each x keeps its
+    key j*q + log(target); several H_j share one bincount while the group
+    stays within _X_BLOCK cells.
+    """
+    q, order = field.q, field.q - 1
     d2 = curve.d2 % order  # exponents of gamma live mod q - 1
-    exp, log, exp_packed = _log_tables(field)
     n = curve.d2 - 1
     g = gcd(n, order)
     reduced_order = order // g
     inv = pow(n // g, -1, reduced_order) if reduced_order > 1 else 0
+    keys = np.empty(order, dtype=np.int64)
+    for lo in range(0, order, _X_BLOCK):
+        i = np.arange(lo, min(lo + _X_BLOCK, order), dtype=np.int64)
+        fx = _f_logs(terms, i, order, zech)
+        ell = (int(log[m]) + i) % order  # log(m*x)
+        t = (ell // g * inv) % reduced_order
+        target = np.where(fx == order, order, (fx - d2 * t) % order)
+        keys[lo : lo + i.size] = ell % g * q + target
 
+    shift = int(log[field.base.p - 1])  # log(-1)
+    slope = (1 - curve.d2) % order
+    per_group = max(1, _X_BLOCK // q)
     total = 0
-    blocks = []  # (j, packed f(x)*lambda^(-d2)) of each block's x != 0
-    for lo, fx in _f_blocks(curve, field):
-        if lo == 0:
-            total += _root_count(fx[:1], curve.d2, log)
-            lo, fx = 1, fx[1:]
-        ell = (log[m] + log[lo : lo + fx.size]) % order  # log(m*x)
-        coset = ell % g
-        t = ((ell - coset) // g * inv) % reduced_order
-        blocks.append((coset, np.where(fx != 0, exp_packed[(log[fx] - d2 * t) % order], 0)))
-
-    logs = log[1:]  # log of every nonzero element, in index order
-    ud2 = exp[(d2 * logs) % order]  # u^d2 for u != 0
-    for j in range(g):
-        # u = 0 contributes u^d2 - gamma^j*u = 0
-        values = _pack((ud2 - exp[(logs + j) % order]) % p, p)
-        hist = np.bincount(values, minlength=q)
-        hist[0] += 1
-        total += sum(int(hist[target[coset == j]].sum()) for coset, target in blocks)
+    for j0 in range(0, g, per_group):
+        js = np.arange(j0, min(j0 + per_group, g), dtype=np.int64)[:, None]
+        values = np.empty((js.size, order), dtype=np.int64)
+        for lo in range(0, order, _X_BLOCK):
+            s = np.arange(lo, min(lo + _X_BLOCK, order), dtype=np.int64)
+            z = zech[(shift + js + slope * s) % order]
+            values[:, lo : lo + s.size] = np.where(z == order, order, (d2 * s + z) % order)
+        values += (js - j0) * q
+        hist = np.bincount(values.ravel(), minlength=js.size * q)
+        hist[order::q] += 1  # u = 0 gives u^d2 - gamma^j*u = 0
+        group = keys
+        if js.size < g:  # this group's keys only
+            group = keys[(keys >= j0 * q) & (keys < (j0 + js.size) * q)] - j0 * q
+        total += int(hist[group].sum())
     return total
 
 
@@ -523,14 +506,14 @@ def count_affine(
 ) -> int:
     """Exact #{(x, y) in F_q^2 : y^d2 - m*x*y - f(x) = 0}.
 
-    f is evaluated in blocks of F_q (`_f_blocks`).  When the mixed term
-    vanishes, every fibre #{y : y^d2 = f(x)} has the closed form of
-    `_root_count`.  Otherwise (`_count_mixed`) the substitution
-    y = lambda*u with lambda^(d2-1) = m*x/gamma^j moves every x != 0 onto
-    one of g = gcd(d2-1, q-1) histograms of u^d2 - gamma^j*u, for
-    O(q*(g + k^2*deg f)) work.  Both read the field's log tables, which
-    are built once per process and shared by every count over the same
-    field.
+    Every field operation is a lookup in the field's log tables
+    (`_log_tables`), built once per process and shared by every count over
+    the field.  For x = gamma^i, f(x) is one gather per nonzero monomial
+    joined by Zech additions (`_f_logs`).  The fibre over x = 0, and every
+    fibre without the mixed term, is #{y : y^d2 = c}: 1 at c = 0, g when
+    g = gcd(d2, q-1) divides log c, and 0 otherwise (F_q* is cyclic).  With
+    it, `_mixed_fibres` reads each x != 0 off one of gcd(d2-1, q-1)
+    histograms.  Both take O(q) lookups.
 
     The count is priced (`_price_count`) and refused before any table is
     built when its work figure exceeds the budget.
@@ -539,11 +522,20 @@ def count_affine(
     if curve.p.p != p:
         raise ParameterError("curve and field characteristics differ")
     _price_count(curve, field.q, budget)
+    _, log, zech = _log_tables(field)
+    order = field.q - 1
+    terms = [(e, int(log[c])) for e, c in enumerate(curve.f_coefficients) if c]
+    g = gcd(curve.d2, order)
+    f0 = int(log[curve.f_coefficients[0]])
+    total = 1 if f0 == order else g * (f0 % g == 0)  # x = 0
     m = curve.m % p
-    if m != 0:
-        return _count_mixed(curve, field, m)
-    log = _log_tables(field)[1]
-    return sum(_root_count(fx, curve.d2, log) for _, fx in _f_blocks(curve, field))
+    if m:
+        return total + _mixed_fibres(curve, m, terms, field, log, zech)
+    for lo in range(0, order, _X_BLOCK):
+        fx = _f_logs(terms, np.arange(lo, min(lo + _X_BLOCK, order), dtype=np.int64), order, zech)
+        zeros = int(np.count_nonzero(fx == order))  # order = 0 (mod g) too
+        total += zeros + g * (int(np.count_nonzero(fx % g == 0)) - zeros)
+    return total
 
 
 def count_points(
@@ -593,6 +585,14 @@ def build_count_table(
     return PointCountTable(entries=entries, infinity_count=1)
 
 
+def _eval_mod_p(coeffs: tuple[int, ...], xs: np.ndarray, p: int) -> np.ndarray:
+    """Horner evaluation over F_p of ascending coefficients reduced mod p."""
+    acc = np.zeros_like(xs)
+    for c in reversed(coeffs):
+        acc = (acc * xs + c) % p
+    return acc
+
+
 def is_smooth_mod_p(
     curve: CurveEquationModP,
     *,
@@ -603,17 +603,20 @@ def is_smooth_mod_p(
     The guard p | 2*d2*d1*lc(f) conservatively rejects primes where the
     behavior at infinity or the derivative structure degenerates; it may
     reject usable primes but never accepts a bad one.  Past the guard,
-    smoothness fails iff some (x, y) in F_p^2 has F = F_x = F_y = 0; the
-    lexicographically first such point is returned as witness.
+    smoothness fails iff some (x, y) in F_p^2 has F = F_x = F_y = 0, and
+    each x allows at most one y, so the scan is O(p):
+
+    - m != 0: F_x = -m*y - f'(x) = 0 fixes y = -f'(x)/m;
+    - m = 0: F_y = d2*y^(d2-1) = 0 forces y = 0, as p does not divide d2.
+
+    The first x (in index order) whose one candidate is singular gives
+    the lexicographically first singular point, returned as witness.  The
+    budget still caps the p^2 points the test decides.
     """
     p = curve.p.p
     fc = curve.f_coefficients
-    orig_deg = len(fc) - 1
-    red_deg = orig_deg
-    while red_deg > 0 and fc[red_deg] == 0:
-        red_deg -= 1
-    # p | lc(f) shows up as a degree drop after reduction
-    if (2 * curve.d2 * orig_deg) % p == 0 or red_deg != orig_deg:
+    # p | lc(f) shows up as a zero leading coefficient after reduction
+    if (2 * curve.d2 * (len(fc) - 1)) % p == 0 or fc[-1] == 0:
         return SmoothnessResult(
             smooth=False,
             witness=None,
@@ -623,30 +626,26 @@ def is_smooth_mod_p(
     if p * p > budget:
         raise BudgetExceededError(f"smoothness scan p^2 = {p*p} exceeds budget {budget}")
     m = curve.m % p
-    field = find_irreducible(p, 1)  # its tables serve the k = 1 count too
-    _, log, exp_packed = _log_tables(field)
-    ys = np.arange(p, dtype=np.int64)
-    yd2m1 = exp_packed[((curve.d2 - 1) % (p - 1)) * log % (p - 1)]
-    yd2m1[0] = 0  # 0^(d2-1) = 0, as d2 >= 2
-    yd2 = (yd2m1 * ys) % p
-    fprime = tuple((i * c) % p for i, c in enumerate(fc) if i > 0)
-    for lo in range(0, p, 4096):
-        xs = np.arange(lo, min(lo + 4096, p), dtype=np.int64)
-        fx = _eval_f_rows(xs[:, None], fc, field)[:, 0]
-        fpx = _eval_f_rows(xs[:, None], fprime, field)[:, 0]
-        mx = (m * xs) % p
-        # F, F_x, F_y on the (x-chunk, y) grid
-        f_grid = (yd2[None, :] - mx[:, None] * ys[None, :] - fx[:, None]) % p
-        fx_grid = ((-m) * ys[None, :] - fpx[:, None]) % p
-        fy_grid = (curve.d2 * yd2m1[None, :] - mx[:, None]) % p
-        mask = (f_grid == 0) & (fx_grid == 0) & (fy_grid == 0)
-        if mask.any():
-            i, j = np.argwhere(mask)[0]
-            return SmoothnessResult(
-                smooth=False,
-                witness=(int(lo + i), int(j)),
-                guard_ok=True,
-                reason="singular point found",
-            )
+    fprime = tuple((i * c) % p for i, c in enumerate(fc))[1:]
+    if m:
+        # its tables serve the k = 1 count too
+        exp_packed, log, _ = _log_tables(find_irreducible(p, 1))
+        minus_inv_m = -pow(m, -1, p) % p
+        e = (curve.d2 - 1) % (p - 1)
+    for lo in range(0, p, _X_BLOCK):
+        xs = np.arange(lo, min(lo + _X_BLOCK, p), dtype=np.int64)
+        fx, fpx = _eval_mod_p(fc, xs, p), _eval_mod_p(fprime, xs, p)
+        if m:
+            ys = (fpx * minus_inv_m) % p
+            yd2m1 = np.where(ys == 0, 0, exp_packed[log[ys] * e % (p - 1)])
+            mx = (m * xs) % p
+            # F = y*(y^(d2-1) - m*x) - f(x) and F_y = d2*y^(d2-1) - m*x
+            hit = ((yd2m1 - mx) * ys % p == fx) & ((curve.d2 % p) * yd2m1 % p == mx)
+        else:
+            ys = np.zeros_like(xs)
+            hit = (fx == 0) & (fpx == 0)
+        if hit.any():
+            x = int(hit.argmax())
+            witness = (lo + x, int(ys[x]))
+            return SmoothnessResult(False, witness, guard_ok=True, reason="singular point found")
     return SmoothnessResult(smooth=True, witness=None, guard_ok=True, reason=None)
-

@@ -1,5 +1,6 @@
 import itertools
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +13,7 @@ from selli_cert.ffield import (
     CurveEquationModP,
     ExtField,
     PrimeField,
+    SmoothnessResult,
     build_count_table,
     count_affine,
     count_points,
@@ -198,6 +200,18 @@ def test_mixed_count_pinned(pk):
     assert count_affine(reduced, find_irreducible(p, k)) == MIXED_PINNED[pk]
 
 
+# N_k (with the point at infinity) of y^10 = 13x^3 + x*y - 102, recorded from
+# the kernel that evaluated f on digit vectors and built each histogram of
+# u^d2 - gamma^j*u by its own pass; q^2 is past the default budget
+MIXED_PINNED_LARGE = {(7, 6): 117429, (11, 5): 161546, (1009, 2): 1019766}
+
+
+@pytest.mark.parametrize("pk", sorted(MIXED_PINNED_LARGE), ids=lambda pk: f"{pk[0]}^{pk[1]}")
+def test_mixed_count_pinned_large(pk):
+    curve = CurveEquation.parse("y^10=13x^3+x*y-102")
+    assert count_points(curve, *pk, budget=10**13) == (pk[1], MIXED_PINNED_LARGE[pk])
+
+
 # affine counts without the mixed term, recorded from a kernel that built the
 # histogram of y^d2 by repeated squaring; both fields span more than one
 # 65,536-element block of x, and gcd(12, 257^2 - 1) = 12
@@ -220,17 +234,44 @@ def test_count_starts_no_thread(monkeypatch):
     assert count_points(curve, 257, 2, threads=8) == (2, 66819 + 1)
 
 
+def unpack(index, p, k):
+    return tuple((index // p**i) % p for i in range(k))
+
+
 @pytest.mark.parametrize("pk", [(2, 1), (2, 3), (3, 1), (5, 2), (7, 3), (13, 2)])
 def test_log_tables_cover_the_group(pk):
-    from selli_cert.ffield import _log_tables, _pack
-
-    field = find_irreducible(*pk)
+    p, k = pk
+    field = find_irreducible(p, k)
     q = field.q
-    exp, log, exp_packed = _log_tables(field)
-    packed = _pack(exp, field.base.p)
-    assert (exp_packed == packed).all()
-    assert sorted(packed.tolist()) == list(range(1, q))
-    assert (log[packed] == list(range(q - 1))).all()
+    exp_packed, log, _ = ffield._log_tables(field)
+    # exp_packed walks the powers of one generator gamma, and gamma^(q-1) = 1
+    gamma = unpack(int(exp_packed[1 % (q - 1)]), p, k)
+    power = unpack(1, p, k)
+    for i in range(q - 1):
+        assert unpack(int(exp_packed[i]), p, k) == power, i
+        power = naive_mul(power, gamma, field.modulus, p)
+    assert sorted(exp_packed.tolist()) == list(range(1, q))
+    assert (log[exp_packed] == list(range(q - 1))).all()
+    assert log[0] == q - 1  # the log of 0
+
+
+@pytest.mark.parametrize("pk", [(2, 1), (2, 4), (3, 1), (3, 3), (5, 2), (7, 1), (13, 2)])
+def test_zech_logarithms(pk):
+    # zech[n] = log(1 + gamma^n), with the sentinel q - 1 exactly at log(-1)
+    p, k = pk
+    field = find_irreducible(p, k)
+    exp_packed, log, zech = ffield._log_tables(field)
+    q = field.q
+    minus_one = int(log[p - 1])  # -1 has index p - 1
+    assert zech.shape == (q - 1,)
+    for n in range(q - 1):
+        digits = unpack(int(exp_packed[n]), p, k)
+        one_more = ((digits[0] + 1) % p,) + digits[1:]
+        index = sum(d * p**i for i, d in enumerate(one_more))
+        if n == minus_one:
+            assert index == 0 and zech[n] == q - 1
+        else:
+            assert index != 0 and zech[n] == log[index] < q - 1, n
 
 
 def test_field_data_is_built_once():
@@ -241,10 +282,10 @@ def test_field_data_is_built_once():
 
 
 def test_cached_tables_are_read_only():
-    exp, log, exp_packed = ffield._log_tables(find_irreducible(7, 2))
-    for table, index in ((exp, (0, 0)), (log, 1), (exp_packed, 0)):
+    exp_packed, log, zech = ffield._log_tables(find_irreducible(7, 2))
+    for table in (exp_packed, log, zech):
         with pytest.raises(ValueError):
-            table[index] = 0
+            table[1] = 0
     # the tables a count reads are still the group's
     assert sorted(exp_packed.tolist()) == list(range(1, 49))
 
@@ -341,6 +382,10 @@ def test_subfield_count_monotone():
 @example((3, 2), 3, [1, 2, 1], 0)  # m = 0, gcd(d2, q-1) = 1
 @example((7, 1), 2, [-1, 0, 1], 7)  # m = 0 (mod 7), f has the roots +-1
 @example((5, 2), 4, [0, 1, 0, 1], 1)  # f(0) = 0: the x = 0 fibre is {0}
+@example((2, 1), 3, [1, 1], 1)  # q = 2: F_q* = {1}, and -1 = 1
+@example((2, 2), 4, [1, 1, 1], 3)  # p = 2, g = 3: groups {0, 1} and {2} in 8 cells
+@example((5, 2), 4, [2, 0, 0, 1], 2)  # g = 3 > 1 = 8 // 25 histograms per group
+@example((3, 1), 2, [1, 1, 1], 0)  # 1 + x vanishes at x = 2 before x^2 joins
 def test_count_matches_naive_oracle(pk, d2, f_coeffs, m):
     p, k = pk
     if f_coeffs[-1] == 0:
@@ -352,6 +397,12 @@ def test_count_matches_naive_oracle(pk, d2, f_coeffs, m):
     ffield._FIELD_TABLES.clear()
     assert count_affine(reduced, field) == expected  # builds the field's tables
     assert count_affine(reduced, field) == expected  # reads them from the cache
+    # blocks of 8 cells: tables built block by block, x and u in several
+    # blocks, and one or two histograms per bincount
+    ffield._FIELD_TABLES.clear()
+    with mock.patch.object(ffield, "_X_BLOCK", 8):
+        assert count_affine(reduced, field) == expected
+    ffield._FIELD_TABLES.clear()
 
 
 def test_smoothness_good_and_bad():
@@ -388,3 +439,75 @@ def test_smoothness_witness_is_lex_first():
     res = is_smooth_mod_p(CurveEquationModP.reduce(c, 11))
     assert not res.smooth
     assert res.witness == (1, 0)  # x = 1 beats x = 10 (which is -1 mod 11)
+
+
+def _naive_is_smooth(curve, *, budget=10**8):
+    # the guard, then every (x, y) of the p x p grid in lexicographic order
+    p, d2, m = curve.p.p, curve.d2, curve.m % curve.p.p
+    fc = curve.f_coefficients
+    deg = len(fc) - 1
+    if (2 * d2 * deg) % p == 0 or fc[-1] % p == 0:
+        return SmoothnessResult(
+            smooth=False,
+            witness=None,
+            guard_ok=False,
+            reason=f"characteristic guard: {p} divides 2*d2*deg(f)*lc(f)",
+        )
+    if p * p > budget:
+        raise BudgetExceededError(f"smoothness scan p^2 = {p*p} exceeds budget {budget}")
+    for x in range(p):
+        fx = sum(c * x**i for i, c in enumerate(fc))
+        fpx = sum(i * c * x ** (i - 1) for i, c in enumerate(fc) if i)
+        for y in range(p):
+            F = y**d2 - m * x * y - fx
+            F_x = -m * y - fpx
+            F_y = d2 * y ** (d2 - 1) - m * x
+            if F % p == F_x % p == F_y % p == 0:
+                return SmoothnessResult(
+                    smooth=False, witness=(x, y), guard_ok=True, reason="singular point found"
+                )
+    return SmoothnessResult(smooth=True, witness=None, guard_ok=True, reason=None)
+
+
+@st.composite
+def smoothness_cases(draw):
+    """(p, d2, f, m), about half of them with a planted singular point."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 17, 23]))
+    d2 = draw(st.integers(min_value=2, max_value=12))
+    f = draw(st.lists(st.integers(min_value=-9, max_value=9), min_size=2, max_size=6))
+    m = draw(st.integers(min_value=0, max_value=2 * p))
+    if draw(st.booleans()):
+        # F = F_x = F_y = 0 at (x0, y0) fixes m*x0 = d2*y0^(d2-1), then
+        # f(x0) and f'(x0), which a linear term alpha + beta*x adjusts
+        x0 = draw(st.integers(min_value=1, max_value=p - 1))
+        y0 = draw(st.one_of(st.just(0), st.integers(min_value=0, max_value=p - 1)))  # 0: m = 0
+        m = d2 * y0 ** (d2 - 1) * pow(x0, -1, p) % p + p * draw(st.integers(0, 1))
+        fx = sum(c * x0**i for i, c in enumerate(f))
+        fpx = sum(i * c * x0 ** (i - 1) for i, c in enumerate(f) if i)
+        beta = -m * y0 - fpx
+        alpha = y0**d2 - m * x0 * y0 - fx - beta * x0
+        f = [f[0] + alpha, f[1] + beta] + f[2:]
+    if f[-1] == 0:
+        f[-1] = 1
+    return p, d2, f, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(smoothness_cases())
+@example((7, 2, [0, 0, 1, 1], 0))  # node of y^2 = x^3 + x^2 at (0, 0), m = 0
+@example((11, 2, [1, 0, -2, 0, 1], 0))  # (x^2 - 1)^2: singular at x = 1 and x = 10
+@example((5, 4, [3, 1, 1], 2))  # m != 0, smooth or not
+@example((3, 2, [1, 0, 0, 1], 0))  # the guard: 3 | deg f
+@example((13, 10, [-102, 0, 0, 13], 1))  # the guard: 13 | lc(f)
+def test_smoothness_matches_the_grid(case):
+    p, d2, f, m = case
+    reduced = CurveEquationModP.reduce(CurveEquation(d2=d2, f_coefficients=tuple(f), m=m), p)
+    expected = _naive_is_smooth(reduced)
+    assert is_smooth_mod_p(reduced) == expected
+    if expected.guard_ok:
+        # past the guard, the budget refuses the scan with the same message
+        with pytest.raises(BudgetExceededError) as naive:
+            _naive_is_smooth(reduced, budget=p * p - 1)
+        with pytest.raises(BudgetExceededError) as scan:
+            is_smooth_mod_p(reduced, budget=p * p - 1)
+        assert str(scan.value) == str(naive.value)
