@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 
 from . import diophantine as dio
@@ -35,10 +37,25 @@ EXIT_VERIFY = 3
 def _emit(doc: dict, out_path: str | None) -> None:
     text = canonical_json(doc)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_over(out_path, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
+
+
+def _write_over(path: str, data: bytes) -> None:
+    """Write `data` to `path`, overwriting a regular file in place.
+
+    The old bytes are written over and the file is then cut to the new
+    length, instead of being emptied on open as mode "w" does: ext4 starts
+    writeback on close of a file that was truncated to zero and rewritten,
+    which gave every `--out` call a blocking wait and kernel time that
+    grow with other I/O on the disk.  Pipes and devices are written as
+    before.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def _say(message: str) -> None:

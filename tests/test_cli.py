@@ -379,6 +379,23 @@ def test_fixed_delta_candidates(capsys):
     assert json.loads(stdout)["candidates"] == [-1, 1]
 
 
+def test_out_overwrites_in_place(capsys, tmp_path):
+    """--out leaves exactly the new document in a longer old file, writes
+    through a symlink to its target, and writes to a device."""
+    argv = ("fixed-delta-candidates", "--delta", "2869", "--d2", "10")
+    _, expected, _ = run_cli(capsys, *argv)
+    target = tmp_path / "cert.json"
+    target.write_text("x" * (3 * len(expected)) + "\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    for path in (target, link):
+        code, stdout, _ = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 0 and stdout == ""
+        assert target.read_text() == expected
+    assert link.is_symlink()
+    assert run_cli(capsys, *argv, "--out", "/dev/null")[0] == 0
+
+
 def test_poly_disc_match_and_mismatch(capsys):
     code, stdout, _ = run_cli(
         capsys, "poly-disc", "--coeffs", "1,-1,0,0,0,1", "--expect", "2869"
