@@ -31,8 +31,11 @@ from . import jacobian as jac
 from .diophantine import (
     DioParams,
     bounded_search,
+    check_qr_bound,
+    check_search_box,
     obstruction_sweep,
     qr_law_check,
+    sweep_plan,
     tuples_checked,
 )
 from .family import (
@@ -501,9 +504,11 @@ def build_dio_certificate(
 
     The replication block and the discrepancy codes its mismatches raise
     come from `replication_evidence`; `verify` rebuilds all three through
-    this function.
+    this function.  All three stages are priced before any of them runs.
     """
-    # the sweep refuses an unaffordable bound before any work, so it runs first
+    sweep_plan(modulus_bound)
+    check_search_box(box)
+    check_qr_bound(qr_bound)
     sweep = obstruction_sweep(params, modulus_bound)
     solutions = tuple(bounded_search(params, box))
     replication, discrepancies = replication_evidence(qr_bound)

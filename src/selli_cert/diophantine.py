@@ -16,10 +16,10 @@ An obstruction certificate closes a class r of x mod 12 at a modulus M: no
 (x, y, z) in (Z/M)^3 with x = r (mod 12) solves the congruence, so no
 integer solution lies in the class.  The least such M is lcm(12, q) for
 the first prime power q that empties the class (see `obstruction_sweep`).
-Each q asks the search's own question, whether D = (xy)^2 + 4(a*x^d1 -
-y^d2 - b) is a square mod 4q for some y.  A class that stays open is
-settled by one witness (x, y), usually found within a few y; only a class
-that closes costs its q/gcd(12, q) rows of q cells.
+Each q asks the search's own question one row x at a time: is D =
+(xy)^2 + 4(a*x^d1 - y^d2 - b) a square mod 4q for some y?  A class that
+stays open is settled by its first witness (x, y), usually found within a
+few y; only a class that closes reads all its q/gcd(12, q) rows of q cells.
 """
 
 from __future__ import annotations
@@ -209,11 +209,9 @@ def bounded_search(params: DioParams, box: int) -> list[tuple[int, int, int]]:
     return sorted(solutions)
 
 
-def _solvable_flags(
-    a: int, b: int, d1: int, d2: int, modulus: int, rows: range | None = None
-) -> list[bool]:
-    """For each x in rows (default all of Z/q): does some (y, z) in (Z/q)^2
-    solve the congruence?
+def _has_witness(params: DioParams, q: int, x: int, is_square: list[bool]) -> bool:
+    """Does some (y, z) in (Z/q)^2 solve the congruence at row x?  y by y,
+    stopping at the first witness; is_square is `_square_table(4 * q)`.
 
     The congruence reads z^2 - s*z = c (mod q) with s = x*y and
     c = a*x^d1 - b - y^d2.  Multiplied by 4 it is (2z - s)^2 = s^2 + 4c
@@ -221,27 +219,7 @@ def _solvable_flags(
     Conversely any w with w^2 = D (mod 4q) has w^2 = s^2 (mod 4), so
     w = s (mod 2) and z = (w + s)/2 is an integer solving it.  This holds
     for every q, powers of 2 included, and for any representatives s and c.
-    So one grid over (x, y) of D mod 4q, read through the square table
-    mod 4q, answers for every x in rows in len(rows) * q steps.  All int64
-    values stay below 5q^2.
     """
-    q = modulus
-    xs = np.arange(q, dtype=np.int64) if rows is None else np.array(rows, dtype=np.int64)
-    y_pow = np.array([pow(y, d2, q) for y in range(q)], dtype=np.int64)
-    x_rhs = np.array([(a * pow(x, d1, q) - b) % q for x in xs.tolist()], dtype=np.int64)
-    disc = xs[:, None] * np.arange(q, dtype=np.int64) % q  # s = x*y, rows x, columns y
-    disc *= disc
-    c = x_rhs[:, None] - y_pow
-    c %= q
-    c *= 4
-    disc += c
-    disc %= 4 * q
-    return _square_table(4 * q)[disc].any(axis=1).tolist()
-
-
-def _has_witness(params: DioParams, q: int, x: int, is_square: list[bool]) -> bool:
-    """Does some y make row x's D a square mod 4q?  The same D as
-    `_solvable_flags`, one y at a time, stopping at the first witness."""
     c = (params.a * pow(x, params.d1, q) - params.b) % q
     d2, m = params.d2, 4 * q
     return any(
@@ -262,12 +240,14 @@ def tuples_checked(modulus: int | None) -> int | None:
     return None if modulus is None else (modulus // 12) * modulus * modulus
 
 
-# The sweep is priced at its worst case, one q x q table per prime power q
-# it reads, about 25 ns a cell on a 2-core x86 VM: modulus bound 360 costs
-# 1.6e4 cells, 11,520 costs 5.6e7 (1.45 s, 112 MB RSS).  A plan priced above
-# this is refused.  Typically a class that stays open is settled by a
-# witness row within a few y and only closing classes build table rows:
-# (13, 3, 10) sweeps bound 360 in 0.16 ms, 1,200 in 0.4 ms and 4,000 in 1.6 ms.
+# The sweep is priced at its worst case, all q rows of q cells for every
+# prime power q it reads: modulus bound 360 costs 1.6e4 cells, 11,520 costs
+# 5.6e7.  A plan priced above this is refused.  `_has_witness` reads a row
+# with no witness at 230-310 ns a cell on a 2-core x86 VM (q = 1,024 with
+# every row empty: 0.30 s), so a plan at the budget could take about 18 s.
+# Only a closing class reads every row, though, and a class that stays open
+# stops at its first witness, usually within a few y: (13, 3, 10) sweeps
+# bound 360 in 0.18 ms, 1,200 in 0.4 ms, 4,000 in 1.5 ms and 11,520 in 6 ms.
 _SWEEP_CELL_BUDGET = 6 * 10**7
 
 
@@ -276,7 +256,7 @@ def sweep_plan(modulus_bound: int) -> list[tuple[int, int]]:
     3, 9, ...; p, p^2, ... (p >= 5) with lcm(12, q) <= modulus_bound.
 
     Priced at the sum of q^2 and refused above `_SWEEP_CELL_BUDGET` before
-    any table is built.  Past 12 * sqrt(budget) the power of 2 in the plan
+    any row is read.  Past 12 * sqrt(budget) the power of 2 in the plan
     alone passes the budget, so no prime beyond that is sieved.
     """
     plan = []
@@ -300,10 +280,10 @@ def obstruction_sweep(params: DioParams, modulus_bound: int) -> SweepResult:
 
     One pass over `sweep_plan`: while a class is pending, each pending r
     with no solvable x = r (mod gcd(12, q)) closes at lcm(12, q).  Classes
-    with the same residue s = r mod gcd(12, q) share one answer: row x = s
-    is scanned for a witness y first, and only if it has none are the
-    class's other rows built as one `_solvable_flags` table.  The closing
-    modulus is the least M:
+    with the same residue s = r mod gcd(12, q) share one answer, decided
+    row by row over x = s, s + gcd(12, q), ... by `_has_witness`: the first
+    row with a witness y keeps the class open, so only a class that closes
+    reads all of its rows.  The closing modulus is the least M:
     - a solution mod p^(e+1) reduces to one mod p^e, so a class emptied by
       p^e stays empty for every higher power of p;
     - by CRT, a class is empty mod M (12 | M) iff some q || M empties it;
@@ -318,12 +298,10 @@ def obstruction_sweep(params: DioParams, modulus_bound: int) -> SweepResult:
             break
         step = gcd(12, q)
         is_square = _square_table(4 * q).tolist()
-        solvable = {}
-        for s in {r % step for r in pending}:
-            rest = range(s + step, q, step)  # empty at q = 3 and 4: row s is the class
-            solvable[s] = _has_witness(params, q, s, is_square) or bool(rest) and any(
-                _solvable_flags(params.a, params.b, params.d1, params.d2, q, rest)
-            )
+        solvable = {
+            s: any(_has_witness(params, q, x, is_square) for x in range(s, q, step))
+            for s in {r % step for r in pending}
+        }
         for r in pending:
             if not solvable[r % step]:
                 best[r] = modulus

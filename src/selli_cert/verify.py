@@ -5,6 +5,8 @@ or by the document's own size, in this order:
 - the parameters are revalidated against the hypotheses the builder
   enforces (H1-H5 for the curve family, D1-D5 for the Diophantine
   equation);
+- d2 must be below the bit length of the stored boundary witness
+  (y_max + 1)^d2, before 2^d2 is evaluated;
 - the candidate box is enumerated only if the document lists at least
   its 2*y_max records;
 - the elimination records must name exactly the recomputed survivors, in
@@ -191,6 +193,13 @@ def _verify_torsion(doc: dict) -> list[str]:
         block = "convention"
         convention = doc["convention"]
         profile = discriminant_profile(params, convention)
+
+        # y_bound evaluates 2^d2, so d2 is bounded by the document first: an
+        # honest boundary.lhs is (y_max + 1)^d2 with y_max >= 1 (|const| >= 27
+        # makes h(1) < 0), so its bit length exceeds d2
+        block = "boundary"
+        if params.d2 >= doc["boundary"]["lhs"].bit_length():
+            return failures + [f"boundary: lhs has fewer than d2 + 1 = {params.d2 + 1} bits"]
 
         # the stored box is the budget: y_max follows from the parameters,
         # not from the document's size, and may be near 2^55

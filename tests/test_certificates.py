@@ -18,7 +18,7 @@ from selli_cert.certificates import (
     replication_evidence,
 )
 from selli_cert.diophantine import validate_dio_params
-from selli_cert import certificates, family, ffield
+from selli_cert import certificates, family, ffield, verify
 from selli_cert.errors import BudgetExceededError
 from selli_cert.family import FamilyParams, elimination_polynomial, validate_params
 from selli_cert.jacobian import GENUS_USER, GenusSpec
@@ -300,10 +300,13 @@ def test_torsion_conclusion_and_convention_blocks_recomputed():
 def test_verify_box_check_is_bounded_by_the_document(tmp_path):
     # (13, 1, 21, 26) passes H1..H5 and has y_max = 2735928361: a verifier
     # that enumerated that box would need tens of GB, so the check runs in a
-    # child process under a 2 GiB address-space cap
+    # child process under a 2 GiB address-space cap.  The boundary witness
+    # is edited to (5 + 1)^26 as well, so the d2 guard passes and the box
+    # check is what stops the forgery
     doc = torsion_doc(**default_build_kw())
     params = validate_params(13, 1, 21, 26)
     doc["params"].update(d1=21, d2=26, b=params.b, d=params.d)
+    doc["boundary"]["lhs"] = 6**26
     path = tmp_path / "forged.json"
     path.write_text(json.dumps(doc))
     script = (
@@ -318,6 +321,23 @@ def test_verify_box_check_is_bounded_by_the_document(tmp_path):
     assert run.returncode == 3, run.stderr
     assert "FAIL y_max: stored 5, recomputed 2735928361" in run.stderr
     assert "FAIL candidates: box does not list 0 < |y| <= y_max in order" in run.stderr
+
+
+def test_verify_bounds_d2_by_the_boundary_before_y_bound(monkeypatch):
+    # d2 = 2d with d = 10^10 + 19 passes H1..H5, but y_bound evaluates 2^d2,
+    # minutes and gigabytes of work; the stored boundary witness has far
+    # fewer than d2 bits, so verify fails it before the box is bounded
+    doc = torsion_doc(**default_build_kw())
+    params = validate_params(13, 1, 3, 2 * (10**10 + 19))
+    doc["params"].update(d2=params.d2, d=params.d)
+    bounded = []
+    for name in ("y_bound", "y_candidates"):
+        monkeypatch.setattr(verify, name, lambda *args, name=name, **kw: bounded.append(name))
+    start = time.perf_counter()
+    failures = verify_certificate(doc)
+    assert time.perf_counter() - start < 1
+    assert failures == ["boundary: lhs has fewer than d2 + 1 = 20000000039 bits"]
+    assert bounded == []
 
 
 def test_sweep_is_priced_before_the_search_and_the_rebuild(monkeypatch):

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from selli_cert import certificates
 from selli_cert.cli import main
 
 
@@ -272,6 +273,22 @@ def test_search_box_over_budget_refused_before_any_pair(capsys, tmp_path):
     assert time.perf_counter() - start < 1
     assert code == 3
     assert f"FAIL search: cannot recompute ({refusal})" in stderr
+
+
+def test_qr_bound_over_cap_refused_before_the_sweep_and_the_search(capsys, monkeypatch):
+    # box 7000 searches for over a second; the QR bound past its cap is
+    # priced with the sweep and the box, before either of them runs
+    searched = []
+    monkeypatch.setattr(certificates, "bounded_search", lambda *args: searched.append(args))
+    start = time.perf_counter()
+    code, stdout, stderr = run_cli(
+        capsys, "check-diophantine", "--a", "13", "--d1", "3", "--d2", "10",
+        "--box", "7000", "--qr-bound", "60000000",
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, stdout) == (1, "")
+    assert "error: qr bound 60000000 exceeds the cap 50000000" in stderr
+    assert searched == []
 
 
 def test_count_points(capsys):

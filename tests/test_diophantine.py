@@ -201,11 +201,32 @@ def test_euler_ladder_matches_pow_for_every_prime_to_1e5():
     assert ladder == [pow(3, (q - 1) // 2, q) for q in p.tolist()]
 
 
+def _table_solvable_flags(a, b, d1, d2, q):
+    """For each x in Z/q: does some (y, z) in (Z/q)^2 solve the congruence?
+
+    The table oracle for `diophantine._has_witness`: one q x q grid over
+    (x, y) of D = (xy)^2 + 4(a*x^d1 - y^d2 - b) mod 4q, read through the
+    square table mod 4q (the proof that this decides the congruence is in
+    `_has_witness`).  All int64 values stay below 5q^2.
+    """
+    xs = np.arange(q, dtype=np.int64)
+    y_pow = np.array([pow(y, d2, q) for y in range(q)], dtype=np.int64)
+    x_rhs = np.array([(a * pow(x, d1, q) - b) % q for x in range(q)], dtype=np.int64)
+    disc = xs[:, None] * xs % q  # s = x*y, rows x, columns y
+    disc *= disc
+    c = x_rhs[:, None] - y_pow
+    c %= q
+    c *= 4
+    disc += c
+    disc %= 4 * q
+    return diophantine._square_table(4 * q)[disc].any(axis=1).tolist()
+
+
 def test_residue_obstruction_mod4():
     # x = 0 mod 2 certifies at modulus 4; x = 1 mod 4 does not
     for a, d1, d2 in PARAM_TRIPLES:
         params = validate_dio_params(a, d1, d2)
-        flags = diophantine._solvable_flags(params.a, params.b, d1, d2, 4)
+        flags = _table_solvable_flags(params.a, params.b, d1, d2, 4)
         assert not flags[0] and not flags[2]
         assert flags[1]
 
@@ -260,13 +281,26 @@ def _cube_solvable_x(a, b, d1, d2, modulus):
 
 
 # Powers of 2 are where reading the discriminant mod 4q, not mod q, matters.
-@pytest.mark.parametrize(
+prime_powers = pytest.mark.parametrize(
     "q", [2, 4, 8, 16, 32, 64, 128, 256, 3, 9, 27, 81, 243, 5, 25, 125, 7, 49, 11, 121, 13, 169]
 )
-@pytest.mark.parametrize("abd", [(13, 101, 3, 2), (-8, -72, 6, 4), (35, -125, 7, 2)])
+abds = pytest.mark.parametrize("abd", [(13, 101, 3, 2), (-8, -72, 6, 4), (35, -125, 7, 2)])
+
+
+@prime_powers
+@abds
 def test_solvable_flags_prime_powers_match_cube(q, abd):
-    flags = diophantine._solvable_flags(*abd, q)
+    flags = _table_solvable_flags(*abd, q)
     assert {x for x, ok in enumerate(flags) if ok} == _cube_solvable_x(*abd, q)
+
+
+@prime_powers
+@abds
+def test_witness_rows_prime_powers_match_cube(q, abd):
+    is_square = diophantine._square_table(4 * q).tolist()
+    params = DioParams(*abd)
+    rows = {x for x in range(q) if diophantine._has_witness(params, q, x, is_square)}
+    assert rows == _cube_solvable_x(*abd, q)
 
 
 @settings(max_examples=40, deadline=None)
@@ -307,8 +341,8 @@ def test_solvable_flags_persist_to_lower_powers(a, b, d1, d2, q):
     # the sweep closes a class at the first power of p that empties it,
     # because a solution mod p^(e+1) reduces to one mod p^e
     p = min(f for f in range(2, q + 1) if q % f == 0)
-    below = diophantine._solvable_flags(a, b, d1, d2, q)
-    above = diophantine._solvable_flags(a, b, d1, d2, p * q)
+    below = _table_solvable_flags(a, b, d1, d2, q)
+    above = _table_solvable_flags(a, b, d1, d2, p * q)
     assert all(below[x % q] for x, ok in enumerate(above) if ok)
 
 
@@ -325,10 +359,10 @@ def test_sweep_plan_lists_each_prime_power_once():
 
 
 def test_sweep_refuses_past_its_budget_before_any_table(monkeypatch):
-    # every q the sweep reads starts with its square table, and a class
-    # without a witness row goes on to `_solvable_flags`; neither may run
+    # every q the sweep reads starts with its square table, then reads rows
+    # with `_has_witness`; neither may run
     tables = []
-    for name in ("_square_table", "_solvable_flags"):
+    for name in ("_square_table", "_has_witness"):
         monkeypatch.setattr(diophantine, name, lambda *args, name=name: tables.append(name))
     params = validate_dio_params(13, 3, 10)
     for bound in (1_200_000, 10**30):
@@ -343,7 +377,7 @@ def _table_sweep(params, bound):
     """The sweep with every q's full table, no witness rows: the oracle."""
     best = [None] * 12
     for modulus, q in diophantine.sweep_plan(bound):
-        flags = diophantine._solvable_flags(params.a, params.b, params.d1, params.d2, q)
+        flags = _table_solvable_flags(params.a, params.b, params.d1, params.d2, q)
         step = gcd(12, q)
         for r in range(12):
             if best[r] is None and not any(flags[r % step :: step]):
@@ -376,21 +410,22 @@ def test_witness_sweep_matches_table_sweep_on_a_fixed_batch():
         assert obstruction_sweep(params, 400).smallest_modulus == expected, params
         closed.update(expected)
     # the batch closes classes at 8, 16, 32, 64 and at 9, 27, 81 too, where a
-    # class's rows past its witness row are built
+    # class has more than one row
     assert {24, 36, 48, 96, 108, 192, 324} <= closed
 
 
 def test_witness_rows_build_a_tenth_of_the_tables(monkeypatch):
     # classes 5 and 9 of (13, 3, 10) stay open through bound 1200, so the
-    # table sweep built every q's q x q table; witness rows settle them
+    # table sweep built every q's q x q table; witness rows settle them.
+    # Each row read is counted at its full q cells.
     cells = []
-    flags = diophantine._solvable_flags
+    has_witness = diophantine._has_witness
 
-    def counted(a, b, d1, d2, q, rows=None):
-        cells.append(q * (q if rows is None else len(rows)))
-        return flags(a, b, d1, d2, q, rows)
+    def counted(params, q, x, is_square):
+        cells.append(q)
+        return has_witness(params, q, x, is_square)
 
-    monkeypatch.setattr(diophantine, "_solvable_flags", counted)
+    monkeypatch.setattr(diophantine, "_has_witness", counted)
     sweep = obstruction_sweep(validate_dio_params(13, 3, 10), 1200)
     assert sweep.smallest_modulus == tuple(None if r in (5, 9) else 12 for r in range(12))
     assert sum(cells) < sum(q * q for _, q in diophantine.sweep_plan(1200)) / 10

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 import tomllib
 from pathlib import Path
 
@@ -30,6 +31,15 @@ def test_one_version_everywhere():
     version = tomllib.loads(pyproject.read_text())["project"]["version"]
     cert = build_torsion_certificate(validate_params(13, 1, 3, 10))
     assert version == selli_cert.__version__ == cert.to_dict()["tool_version"]
+
+
+def test_readme_library_example_prints_what_it_promises(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    [block] = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    promised = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == promised
+    assert promised == ["TRIVIAL_BY_POINT_ELIMINATION", "(-1, 1)"]
 
 
 def test_no_dead_noqa_imports():
