@@ -273,18 +273,19 @@ def record_block(record: "jac.PrimeOrderRecord") -> dict:
     }
 
 
-def pair_block(cert: "jac.CertificatePrimes | None") -> dict | None:
-    """The coprime-order pair: both primes with their orders and counts."""
-    if cert is None:
+def pair_block(pair: "tuple[jac.PrimeOrderRecord, jac.PrimeOrderRecord] | None") -> dict | None:
+    """The coprime-order pair, two ok records of the scan (`jac.coprime_pair`)."""
+    if pair is None:
         return None
+    r1, r2 = pair
     return {
-        "p1": cert.p1,
-        "p2": cert.p2,
-        "order1": cert.order1,
-        "order2": cert.order2,
-        "gcd": cert.gcd_value,
-        "counts1": counts_block(cert.counts1),
-        "counts2": counts_block(cert.counts2),
+        "p1": r1.p,
+        "p2": r2.p,
+        "order1": r1.order,
+        "order2": r2.order,
+        "gcd": 1,  # what makes the two records the pair
+        "counts1": counts_block(r1.counts),
+        "counts2": counts_block(r2.counts),
     }
 
 

@@ -22,6 +22,7 @@ used plus a comparison block whenever the two diverge.
 from __future__ import annotations
 
 import operator
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -202,8 +203,19 @@ def y_bound(profile: DiscriminantProfile) -> int:
     C = |constant| of Delta as a polynomial in y.  Since d2 > deg and
     C > 0, h has exactly one sign change on t > 0; the largest integer t
     with h(t) <= 0 is found by doubling then bisection.
+
+    2^d2 is the smallest boundary.lhs a certificate can write, so d2 is
+    refused first when 2^d2 has more decimal digits than Python writes or
+    reads (`sys.get_int_max_str_digits()`, 0 for no limit).  Since
+    8^limit < 10^limit < 16^limit, 2^d2 is evaluated only for d2 <= 4*limit.
     """
     d2 = profile.params.d2
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and d2 >= 3 * limit and (d2 > 4 * limit or 2**d2 >= 10**limit):
+        raise BudgetExceededError(
+            f"d2 = {d2} exceeds the cap: 2^d2 has more than {limit} digits, "
+            "Python's limit for integer strings"
+        )
     if d2 <= 3:
         raise ParameterError("growth bound needs d2 >= 4")
     if d2 <= profile.y_degree:

@@ -41,7 +41,6 @@ from .ffield import (
 __all__ = [
     "GenusSpec",
     "LPolynomial",
-    "CertificatePrimes",
     "PrimeOrderRecord",
     "PrimeScan",
     "genus_superelliptic",
@@ -49,6 +48,7 @@ __all__ = [
     "predict_count",
     "jacobian_order",
     "order_divisibility_filter",
+    "coprime_pair",
     "find_certificate_primes",
 ]
 
@@ -190,21 +190,26 @@ class PrimeOrderRecord:
 
 
 @dataclass(frozen=True)
-class CertificatePrimes:
-    p1: int
-    p2: int
-    order1: int
-    order2: int
-    gcd_value: int
-    counts1: PointCountTable
-    counts2: PointCountTable
-
-
-@dataclass(frozen=True)
 class PrimeScan:
     prime_bound: int
     records: tuple[PrimeOrderRecord, ...]
-    certificate: CertificatePrimes | None
+    certificate: tuple[PrimeOrderRecord, PrimeOrderRecord] | None  # two of records
+
+
+def coprime_pair(records) -> tuple[PrimeOrderRecord, PrimeOrderRecord] | None:
+    """The first pair of ok records, in lexicographic (p1, p2) order, whose
+    Jacobian orders are coprime, or None.
+
+    Records come in ascending p.  Torsion injects into both good
+    reductions, so coprime orders force trivial torsion.  The builder and
+    `verify` both take the pair from here.
+    """
+    usable = [r for r in records if r.status == "ok"]
+    for i, r1 in enumerate(usable):
+        for r2 in usable[i + 1 :]:
+            if gcd(r1.order, r2.order) == 1:
+                return r1, r2
+    return None
 
 
 def find_certificate_primes(
@@ -223,10 +228,10 @@ def find_certificate_primes(
     count table exceeds the budget, checked in that order.  The table is
     priced for every k = 1..g before any k is counted (`build_count_table`),
     so a prime whose top k is refused costs no counting, and each field's
-    tables are built once per process.  Among computed orders, the first
-    pair (p1, p2) in lexicographic order with gcd 1 forms the certificate; exhausting the
-    bound without one is a neutral NOT_FOUND outcome (certificate None),
-    not an error.
+    tables are built once per process.  The certificate is
+    `coprime_pair(records)`, the first pair of ok records with coprime
+    orders; exhausting the bound without one is a neutral NOT_FOUND
+    outcome (certificate None), not an error.
     """
     records: list[PrimeOrderRecord] = []
     for p in primes_upto(prime_bound):
@@ -257,23 +262,4 @@ def find_certificate_primes(
                 counts=counts,
             )
         )
-    usable = [r for r in records if r.status == "ok"]
-    certificate = None
-    for i, r1 in enumerate(usable):
-        for r2 in usable[i + 1 :]:
-            if gcd(r1.order, r2.order) == 1:
-                certificate = CertificatePrimes(
-                    p1=r1.p,
-                    p2=r2.p,
-                    order1=r1.order,
-                    order2=r2.order,
-                    gcd_value=1,
-                    counts1=r1.counts,
-                    counts2=r2.counts,
-                )
-                break
-        if certificate:
-            break
-    return PrimeScan(
-        prime_bound=prime_bound, records=tuple(records), certificate=certificate
-    )
+    return PrimeScan(prime_bound, tuple(records), coprime_pair(records))

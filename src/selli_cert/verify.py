@@ -18,7 +18,8 @@ or by the document's own size, in this order:
 
 Then every block is rebuilt with the builder's own code (`y_candidates`,
 `eliminate_points`, `convention_evidence`, `torsion_outcome`,
-`TorsionCertificate.to_dict`, `scan_block`, `build_dio_certificate`) and
+`TorsionCertificate.to_dict`, `l_polynomial_from_counts`, `coprime_pair`,
+`scan_block`, `build_dio_certificate`) and
 compared with the stored one under one rule, `_diff`: the JSON type must
 match at every node, so `true` is not 1 and 12.0 is not 12, objects must
 have the same keys and lists the same length.  Each failure names its block
@@ -27,13 +28,13 @@ and the first path that differs, for example
 empty failure list means the certificate re-verifies.
 
 Schema selli-cert/1 still trusts three things:
-- the point counts, orders and skip reasons of scan records other than
-  the coprime-order pair's, which only have to have the builder's form,
-  since checking them means recounting points (the pair's orders are
-  rebuilt from its stored counts through the L-polynomial, Weil bounds
-  included);
-- a user-supplied genus on an INCONCLUSIVE certificate, which nothing is
-  rebuilt from;
+- the point counts and skip reasons of scan records, since checking them
+  means recounting points (each ok record's order is rebuilt from its
+  stored counts through the L-polynomial, Weil bounds included, and the
+  coprime-order pair is chosen from the rebuilt records, as the builder
+  chooses it);
+- a user-supplied genus on a certificate whose scan has no ok record,
+  which nothing is rebuilt from;
 - `candidates` and `elimination`, compared by value alone, as their size
   grows with y_max: 1.0 passes for 1 there.
 """
@@ -42,10 +43,9 @@ from __future__ import annotations
 
 import json
 import operator
-from math import gcd
 
 from . import jacobian as jac
-from .arith import is_prime, primes_upto
+from .arith import primes_upto
 from .certificates import (
     DIO_KIND,
     SCHEMA,
@@ -53,8 +53,6 @@ from .certificates import (
     TorsionCertificate,
     build_dio_certificate,
     convention_evidence,
-    counts_block,
-    pair_block,
     params_block,
     record_block,
     scan_block,
@@ -262,70 +260,51 @@ def _user_genus(stored) -> jac.GenusSpec | None:
     return jac.GenusSpec(g=operator.index(stored["g"]), source=jac.GENUS_USER)
 
 
-# The scan block and every record in it but the pair's, as the builder
-# renders them, with `int`, `str` and `list` standing for the bound, for a
-# record's p (which the listing pins) and for the order, skip reason and
-# point counts that are trusted.
-_SCAN_FORM = scan_block(jac.PrimeScan(int, (), None))
-_OK_RECORD = record_block(
-    jac.PrimeOrderRecord(int, "ok", None, int, PointCountTable((), infinity_count=1))
-)
-_OK_RECORD["counts"]["entries"] = list
+# Every skipped record as the builder renders it, with `int` and `str`
+# standing for its p, which the listing pins, and its trusted skip reason.
 _SKIPPED_RECORD = record_block(jac.PrimeOrderRecord(int, "skipped", str, None, None))
 
 
 def _expected_scan(scan, genus: jac.GenusSpec) -> tuple[object, list[str]]:
     """The prime_scan block as the builder renders it, and the failures met.
 
-    The records must list every prime up to the bound.  Only the pair's
-    orders are rebuilt, from the pair's stored counts; every other record
-    is checked for form alone.
+    The records must list every prime up to the bound.  Each ok record is
+    rebuilt from its stored N_1..N_g (the stored k are compared, not read),
+    its order through the L-polynomial, Weil bounds included.  The pair is
+    `jac.coprime_pair` of the rebuilt records, as in the builder.  Counts
+    that are not integers are compared with an empty table, so they fail by
+    form; skipped records are compared with one shared form.
     """
     if not isinstance(scan, dict):
         return dict, []
-    failures = []
-    bound, records, pair = scan["prime_bound"], scan["records"], scan["certificate"]
+    bound, records = scan["prime_bound"], scan["records"]
     # pi(x) > x/ln(x) > x/bit_length(x) for x >= 17 (Rosser-Schoenfeld 1962),
     # so n records can list every prime up to x only if n*bit_length(x) >= x;
     # checking that first keeps the sieve within O(n log n) of the input.
     too_far = bound >= 17 and len(records) * bound.bit_length() < bound
     primes = [] if too_far else primes_upto(bound)
-    listed = not too_far and [r["p"] for r in records] == primes
-    if not listed:
-        failures.append("prime_scan: records do not list exactly the primes up to prime_bound")
-    expected = {
-        **_SCAN_FORM,
-        "records": [_OK_RECORD if r["status"] == "ok" else _SKIPPED_RECORD for r in records]
-        if listed
-        else records,
-        "certificate": pair,
-    }
-    if pair is None:
-        return expected, failures
-    p1, p2 = operator.index(pair["p1"]), operator.index(pair["p2"])
-    if not (2 < p1 < p2 <= bound and is_prime(p1) and is_prime(p2)):
-        failures.append(
-            f"prime_scan: certificate primes p1 = {p1}, p2 = {p2} are not odd primes "
-            "p1 < p2 within prime_bound"
-        )
-        return expected, failures
-    orders = []
-    for p, counts in ((p1, pair["counts1"]), (p2, pair["counts2"])):
-        entries = tuple(tuple(map(operator.index, entry)) for entry in counts["entries"])
-        table = PointCountTable(entries=entries, infinity_count=1)
+    if too_far or [r["p"] for r in records] != primes:
+        return scan, ["prime_scan: records do not list exactly the primes up to prime_bound"]
+    failures, expected_records, rebuilt = [], [], []
+    for p, stored in zip(primes, records):
+        if stored["status"] != "ok":
+            expected_records.append(_SKIPPED_RECORD)
+            continue
+        order = int
         try:
-            orders.append(jac.jacobian_order(jac.l_polynomial_from_counts(p, genus, table)))
+            entries = zip(range(1, genus.g + 1), stored["counts"]["entries"])
+            table = PointCountTable(tuple((k, operator.index(n)) for k, (_, n) in entries), 1)
+            order = jac.jacobian_order(jac.l_polynomial_from_counts(p, genus, table))
+        except _MALFORMED:
+            table = PointCountTable((), 1)
         except SelliCertError as exc:
             failures.append(f"prime_scan: counts for p = {p} inconsistent ({exc})")
-            orders.append(int)
-        if listed:
-            # the pair's own records repeat its orders and its counts
-            record = {**_OK_RECORD, "order": orders[-1], "counts": counts_block(table)}
-            expected["records"][primes.index(p)] = record
-    if int not in orders and gcd(*orders) != 1:
-        failures.append(f"prime_scan: orders {orders[0]} and {orders[1]} are not coprime")
-    form = PointCountTable(tuple((k, int) for k in range(1, genus.g + 1)), infinity_count=1)
-    expected["certificate"] = pair_block(jac.CertificatePrimes(p1, p2, *orders, 1, form, form))
+        record = jac.PrimeOrderRecord(p, "ok", None, order, table)
+        if order is not int:
+            rebuilt.append(record)
+        expected_records.append(record_block(record))
+    expected = scan_block(jac.PrimeScan(int, (), jac.coprime_pair(rebuilt)))
+    expected["records"] = expected_records
     return expected, failures
 
 

@@ -575,18 +575,22 @@ def test_coprime_block_must_match_its_scan():
         (lambda doc: doc["prime_scan"].update(prime_bound=10**12), "prime_scan: records do not"),
         (far_record, "prime_scan: records do not"),
         (lambda doc: doc["prime_scan"]["records"].pop(1), "records do not list exactly"),
-        (lambda doc: doc["prime_scan"].update(prime_bound=6), "within prime_bound"),
-        (swap_pair, "p1 = 7, p2 = 5"),
-        (composite_p2, "are not odd primes"),
+        # the pair is rebuilt from the records, so the bound must list its primes
+        (lambda doc: doc["prime_scan"].update(prime_bound=6), "prime_scan: records do not"),
+        (swap_pair, "prime_scan.certificate.p1: stored 7, recomputed 5"),
+        (composite_p2, "prime_scan: records do not list exactly the primes up to prime_bound"),
         (
             record(2, status="skipped"),
-            'prime_scan.records[2].status: stored "skipped", recomputed "ok"',
+            "prime_scan.records[2].reason: stored null, recomputed any string",
+        ),
+        (
+            # a well-formed skipped record leaves p = 7 without a partner
+            record(2, status="skipped", reason="not smooth", order=None, counts=None),
+            "prime_scan.certificate: stored an object, recomputed null",
         ),
         (record(3, order=7), "prime_scan.records[3].order: stored 7, recomputed 5"),
-        (
-            record(2, counts=_counts(8)),
-            "prime_scan.records[2].counts.entries[0][1]: stored 8, recomputed 9",
-        ),
+        # the order is rebuilt from the record's own counts
+        (record(2, counts=_counts(8)), "prime_scan.records[2].order: stored 9, recomputed 8"),
         (lambda doc: doc["assumptions"].remove("GENUS-USER"), "GENUS-USER"),
         (lambda doc: doc["assumptions"].remove("INFINITY-MODEL"), "INFINITY-MODEL"),
         (

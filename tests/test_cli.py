@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from selli_cert import certificates
+from selli_cert import certificates, family
 from selli_cert.cli import main
 
 
@@ -291,6 +291,42 @@ def test_qr_bound_over_cap_refused_before_the_sweep_and_the_search(capsys, monke
     assert searched == []
 
 
+@pytest.mark.parametrize(
+    "command, d2",
+    [
+        ("analyze-curve", 20000038),  # d = 10^7 + 19
+        ("analyze-curve", 14302),  # d = 7151, the first prime d past the cap
+        ("y-candidates", 14302),
+    ],
+)
+def test_d2_past_the_digit_cap_refused_before_the_box(capsys, monkeypatch, command, d2):
+    # 2^d2, the least boundary.lhs, would have more than 4300 digits, which
+    # a certificate cannot write; y_bound refuses d2 before the y-box
+    walked = []
+    monkeypatch.setattr(family, "delta_of_y", lambda *args: walked.append(args))
+    start = time.perf_counter()
+    code, stdout, stderr = run_cli(
+        capsys, command, "--a", "13", "--m", "1", "--d1", "3", "--d2", str(d2)
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, stdout, walked) == (1, "", [])
+    assert stderr == (
+        f"error: d2 = {d2} exceeds the cap: 2^d2 has more than 4300 digits, "
+        "Python's limit for integer strings\n"
+    )
+
+
+def test_d2_below_the_digit_cap_writes_a_certificate(capsys, tmp_path):
+    # d = 7129 is the last prime d whose 2^d2 has at most 4300 digits
+    path = tmp_path / "cert.json"
+    code, _, _ = run_cli(
+        capsys, "analyze-curve", "--a", "13", "--m", "1", "--d1", "3", "--d2", "14258",
+        "--out", str(path),
+    )
+    assert code == 0
+    assert run_cli(capsys, "verify", str(path))[0] == 0
+
+
 def test_count_points(capsys):
     code, stdout, _ = run_cli(
         capsys, "count-points", "--curve", "y^2=x^3+1", "--p", "5"
@@ -542,13 +578,51 @@ def test_verify_rejects_forged_coprime_block(capsys, tmp_path):
     path.write_text(text)
     code, _, stderr = _verify_edited(capsys, path, forge_user_genus)
     assert code == 3
-    for message in (
+    # the pair is chosen from the rebuilt records, so the composite p1 = 9
+    # fails with the records that do not list it
+    assert [line for line in stderr.splitlines() if line.startswith("FAIL prime_scan")] == [
         "FAIL prime_scan: records do not list exactly the primes up to prime_bound",
-        "FAIL prime_scan: certificate primes p1 = 9, p2 = 7 are not odd primes",
+    ]
+    assert (
         'FAIL assumptions: stored ["NL-property-C1"], recomputed ["GENUS-USER", '
-        '"INFINITY-MODEL", "NL-property-C1"]',
+        '"INFINITY-MODEL", "NL-property-C1"]'
+    ) in stderr
+
+
+def test_verify_rebuilds_every_ok_record_and_the_first_pair(capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    code, _, _ = run_cli(
+        capsys,
+        "analyze-curve", "--a", "1609", "--m", "2", "--d1", "3", "--d2", "10",
+        "--convention", "paper-ex2", "--genus", "2", "--prime-bound", "22",
+        "--budget", "100000000", "--out", str(path),
+    )
+    assert code == 0
+    doc = json.loads(path.read_text())
+    records = {r["p"]: r for r in doc["prime_scan"]["records"]}
+    assert [p for p, r in records.items() if r["status"] == "ok"] == [11, 13, 17, 19]
+    assert [records[p]["order"] for p in (11, 13, 17, 19)] == [105, 209, 426, 441]
+
+    def later_pair(doc):
+        # (13, 17) is coprime too, but (11, 13) comes first
+        r13, r17 = records[13], records[17]
+        doc["prime_scan"]["certificate"].update(
+            p1=13, p2=17, order1=r13["order"], order2=r17["order"],
+            counts1=r13["counts"], counts2=r17["counts"],
+        )
+
+    def order_19(doc):
+        # p = 19 is in no pair; its order is rebuilt from its own counts
+        doc["prime_scan"]["records"][7]["order"] = 442
+
+    text = path.read_text()
+    for edit, message in (
+        (later_pair, "FAIL prime_scan.certificate.p1: stored 13, recomputed 11"),
+        (order_19, "FAIL prime_scan.records[7].order: stored 442, recomputed 441"),
     ):
-        assert message in stderr, message
+        path.write_text(text)
+        code, _, stderr = _verify_edited(capsys, path, edit)
+        assert (code, stderr.splitlines()) == (3, [message])
 
 
 @pytest.mark.parametrize(

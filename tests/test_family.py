@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -138,6 +139,27 @@ def test_y_bound_examples():
     for args, conv, expected in cases:
         prof = discriminant_profile(validate_params(*args), conv)
         assert y_bound(prof) == expected, (args, conv)
+
+
+@pytest.mark.parametrize(
+    "limit, d, refused",
+    [
+        (640, 1063, False),  # 2^2126 < 10^640
+        (640, 1069, True),
+        (4300, 7129, False),
+        (4300, 7151, True),
+        (0, 7151, False),  # no limit
+    ],
+)
+def test_y_bound_refuses_d2_past_the_digit_limit(monkeypatch, limit, d, refused):
+    # 2^d2, the least boundary.lhs, must be writable in at most `limit` digits
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+    profile = discriminant_profile(validate_params(13, 1, 3, 2 * d), "standard")
+    if refused:
+        with pytest.raises(BudgetExceededError, match=f"d2 = {2 * d} exceeds the cap"):
+            y_bound(profile)
+    else:
+        assert y_bound(profile) == 1
 
 
 def test_y_bound_is_tight():

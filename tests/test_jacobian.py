@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,8 @@ from selli_cert.jacobian import (
     GENUS_USER,
     GenusSpec,
     LPolynomial,
+    PrimeOrderRecord,
+    coprime_pair,
     find_certificate_primes,
     genus_superelliptic,
     jacobian_order,
@@ -154,11 +158,11 @@ def test_find_certificate_primes_positive_case():
     ec = CurveEquation.parse("y^2=x^3+x+1")
     genus = GenusSpec(g=1, source=GENUS_USER)
     scan = find_certificate_primes(ec, genus, 20)
-    cert = scan.certificate
-    assert cert is not None
-    assert (cert.p1, cert.p2) == (5, 7)
-    assert (cert.order1, cert.order2) == (9, 5)
-    assert cert.gcd_value == 1
+    r1, r2 = scan.certificate
+    assert (r1.p, r2.p) == (5, 7)
+    assert (r1.order, r2.order) == (9, 5)
+    assert gcd(r1.order, r2.order) == 1
+    assert r1 in scan.records and r2 in scan.records
 
 
 def test_find_certificate_primes_prefers_first_pair():
@@ -166,7 +170,26 @@ def test_find_certificate_primes_prefers_first_pair():
     ec = CurveEquation.parse("y^2=x^3+x+1")
     genus = GenusSpec(g=1, source=GENUS_USER)
     scan = find_certificate_primes(ec, genus, 50)
-    assert (scan.certificate.p1, scan.certificate.p2) == (5, 7)
+    r1, r2 = scan.certificate
+    assert (r1.p, r2.p) == (5, 7)
+
+
+def _ok(p, order):
+    return PrimeOrderRecord(p, "ok", None, order, table([p + 1 - order]))
+
+
+def test_coprime_pair_takes_the_first_coprime_ok_pair():
+    skipped = PrimeOrderRecord(3, "skipped", "characteristic guard", None, None)
+    assert coprime_pair([]) is None
+    assert coprime_pair([skipped]) is None
+    # every order even: no pair
+    assert coprime_pair([skipped, _ok(5, 6), _ok(7, 12), _ok(11, 12)]) is None
+    # orders 6, 10, 7, 11: every pair but (5, 7) is coprime, and (5, 11) is
+    # first in (p1, p2) order
+    records = [skipped, _ok(5, 6), _ok(7, 10), _ok(11, 7), _ok(13, 11)]
+    assert coprime_pair(records) == (records[1], records[3])
+    # without p = 5, (7, 11) comes before (7, 13) and (11, 13)
+    assert coprime_pair(records[2:]) == (records[2], records[3])
 
 
 def test_over_budget_table_is_refused_before_any_count(monkeypatch):

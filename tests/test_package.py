@@ -42,9 +42,24 @@ def test_readme_library_example_prints_what_it_promises(capsys):
     assert promised == ["TRIVIAL_BY_POINT_ELIMINATION", "(-1, 1)"]
 
 
+def _annotation_names(tree) -> set[str]:
+    """Names read in string annotations, such as "jac.PrimeScan | None"."""
+    annotations = [
+        node.annotation for node in ast.walk(tree) if isinstance(node, (ast.arg, ast.AnnAssign))
+    ]
+    annotations += [node.returns for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    return {
+        node.id
+        for annotation in annotations
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str)
+        for node in ast.walk(ast.parse(annotation.value, mode="eval"))
+        if isinstance(node, ast.Name)
+    }
+
+
 def test_no_dead_noqa_imports():
-    # a `# noqa: F401` import must be used by its module, or be a name that
-    # perfbench/tracing.py patches on that module
+    # every import must be used by its module, exported in its __all__, or,
+    # under `# noqa: F401`, be a name that perfbench/tracing.py patches there
     tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     [points] = [
         node.value
@@ -59,14 +74,16 @@ def test_no_dead_noqa_imports():
         lines = text.splitlines()
         tree = ast.parse(text)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= _annotation_names(tree)
         used |= set(getattr(loaded, "__all__", ()))
         for node in ast.walk(tree):
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
-            if not any("noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
+            noqa = any("noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno])
             for alias in node.names:
                 name = (alias.asname or alias.name).split(".")[0]
-                if name not in used and (module, name) not in patched:
+                if name not in used and not (noqa and (module, name) in patched):
                     dead.append(f"{module}.{name}")
     assert dead == []

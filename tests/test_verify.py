@@ -4,11 +4,14 @@ Four certificates are edited one leaf at a time: every int goes up or down
 by one or is retyped to a float, a string, null or a bool; every bool is
 flipped or set to 0 or 1; every string is edited, emptied or nulled; every
 null is set to 0, "" or false; and every object loses each of its keys and
-gains one.  `candidates`, `elimination` and `prime_scan.records` are left
-alone: the first two are compared by value only, and the records' counts,
-orders and skip reasons are trusted but for the coprime-order pair's.  Every edit must fail with a message
+gains one.  `candidates`, `elimination` and the reasons of skipped scan
+records are left alone: the first two are compared by value only, and a
+skip reason is trusted.  Every other scan record leaf is edited, since each
+ok record is rebuilt from its counts.  Every edit must fail with a message
 that names the block it edited, unless it edited an input (`INPUTS`), or
-re-verify for the reason `REVERIFY` gives; none may raise.
+re-verify for the reason `REVERIFY` gives; none may raise.  A user genus
+edited by one fails too wherever the scan has an ok record, whose counts
+then do not fit it.
 """
 
 import copy
@@ -65,12 +68,6 @@ REVERIFY = {
         )
         for name in ("standard", "coprime", "inconclusive")
     },
-    **{
-        ("inconclusive", ("genus", "g"), edit): (
-            "no pair: the user genus only sets the length of count tables that are trusted"
-        )
-        for edit in ("+1", "-1")
-    },
     ("coprime", ("prime_scan", "prime_bound"), "-1"): "no prime lies in (21, 22]",
     ("inconclusive", ("prime_scan", "prime_bound"), "-1"): "no prime lies in (11, 12]",
     **{
@@ -89,18 +86,28 @@ REVERIFY = {
 # in its own.
 INPUTS = {("params", "m"), ("genus", "g")}
 
-SKIPPED = {("candidates",), ("elimination",), ("prime_scan", "records")}
+
+def _skipped(doc):
+    """The paths left unedited: `candidates`, `elimination` and the reason
+    of each skipped scan record."""
+    records = (doc.get("prime_scan") or {}).get("records", [])
+    reasons = {
+        ("prime_scan", "records", i, "reason")
+        for i, record in enumerate(records)
+        if record["status"] == "skipped"
+    }
+    return {("candidates",), ("elimination",), *reasons}
 
 
-def _nodes(node, path=()):
-    """(path, value) for every object and leaf outside SKIPPED."""
-    if path in SKIPPED:
+def _nodes(node, skipped, path=()):
+    """(path, value) for every object and leaf outside skipped."""
+    if path in skipped:
         return
     if not isinstance(node, list):
         yield path, node
     if isinstance(node, (dict, list)):
         for key, child in node.items() if isinstance(node, dict) else enumerate(node):
-            yield from _nodes(child, (*path, key))
+            yield from _nodes(child, skipped, (*path, key))
 
 
 def _edits(value):
@@ -133,7 +140,7 @@ def test_every_single_edit_fails_in_its_block(certificates):
     edits = 0
     for name, base in certificates.items():
         assert verify_certificate(base) == []
-        for path, value in _nodes(base):
+        for path, value in _nodes(base, _skipped(base)):
             for label, edit in _edits(value):
                 doc = {"root": copy.deepcopy(base)}
                 parent, key = doc, "root"
@@ -152,7 +159,7 @@ def test_every_single_edit_fails_in_its_block(certificates):
                     block = path[0] if path else label.split()[-1]
                     assert block in map(_block, failures), (where, failures)
     assert reverified == REVERIFY.keys()
-    assert edits > 1300
+    assert edits > 1900
 
 
 def _nested(depth):
