@@ -42,6 +42,7 @@ from .family import (
     ASSUMPTION_GENUS,
     ASSUMPTION_INFINITY,
     ASSUMPTION_NL,
+    DEFAULT_BUDGET,
     CandidateSet,
     DiscriminantProfile,
     EliminationRecord,
@@ -67,7 +68,10 @@ DISCREPANCY_SUM_TABLE = "mod4-sum-table"
 DISCREPANCY_PARITY = "parity-table"
 DISCREPANCY_QR = "qr-law"
 
+# Defaults of the two builders, which the CLI also takes.
 DEFAULT_PRIME_BOUND = 100
+DEFAULT_BOX = 30
+DEFAULT_MODULUS_BOUND = 360
 DEFAULT_QR_BOUND = 10**4
 
 
@@ -172,8 +176,8 @@ def profile_block(profile: DiscriminantProfile) -> dict:
     return {
         "c3": profile.c3,
         "c0": profile.c0,
-        "lead_abs": profile.lead_abs,
-        "const_abs": profile.const_abs,
+        "lead_abs": abs(profile.lead),
+        "const_abs": abs(profile.const),
         "y_degree": profile.y_degree,
     }
 
@@ -364,8 +368,8 @@ def build_torsion_certificate(
     convention: str = "standard",
     *,
     genus: "jac.GenusSpec | None" = None,
-    prime_bound: int | None = None,
-    budget: int = 10**8,
+    prime_bound: int = DEFAULT_PRIME_BOUND,
+    budget: int = DEFAULT_BUDGET,
 ) -> TorsionCertificate:
     """Run the torsion pipeline and assemble its certificate.
 
@@ -387,7 +391,7 @@ def build_torsion_certificate(
         prime_scan = jac.find_certificate_primes(
             CurveEquation.from_family(params, convention),
             genus_used,
-            prime_bound if prime_bound is not None else DEFAULT_PRIME_BOUND,
+            prime_bound,
             budget=budget,
         )
         return prime_scan.certificate is not None
@@ -497,8 +501,8 @@ def replication_evidence(qr_bound: int) -> tuple[dict, list[str]]:
 def build_dio_certificate(
     params: DioParams,
     *,
-    box: int = 30,
-    modulus_bound: int = 360,
+    box: int = DEFAULT_BOX,
+    modulus_bound: int = DEFAULT_MODULUS_BOUND,
     qr_bound: int = DEFAULT_QR_BOUND,
 ) -> DioCertificate:
     """Bounded search plus obstruction sweep plus claim replication.

@@ -18,12 +18,11 @@ import sys
 from . import diophantine as dio
 from . import jacobian as jac
 from .certificates import (
-    build_dio_certificate,
-    build_torsion_certificate,
-    canonical_json,
+    DEFAULT_BOX, DEFAULT_MODULUS_BOUND, DEFAULT_PRIME_BOUND, DEFAULT_QR_BOUND,
+    build_dio_certificate, build_torsion_certificate, canonical_json,
 )
 from .errors import HypothesisError, ParameterError, SelliCertError
-from .family import CONVENTIONS, discriminant_profile, validate_params, y_candidates
+from .family import CONVENTIONS, DEFAULT_BUDGET, discriminant_profile, validate_params, y_candidates
 from .ffield import CurveEquation, PointCountTable, count_points
 from .polyring import IntPolynomial, discriminant
 from .verify import verify_certificate
@@ -246,9 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-override", type=int, default=None)
     p.add_argument("--convention", choices=CONVENTIONS, default="standard")
     p.add_argument("--genus", type=int, default=None)
-    p.add_argument("--prime-bound", type=int, default=None)
+    p.add_argument("--prime-bound", type=int, default=DEFAULT_PRIME_BOUND)
     p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--budget", type=int, default=10**8)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     add_out(p)
     p.set_defaults(func=_cmd_analyze_curve)
 
@@ -258,9 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d2", type=int, required=True)
     p.add_argument("--b-mode", choices=dio.B_MODES, default="standard")
     p.add_argument("--m-prime", type=int, default=None)
-    p.add_argument("--box", type=int, default=30)
-    p.add_argument("--modulus-bound", type=int, default=360)
-    p.add_argument("--qr-bound", type=int, default=10**4)
+    p.add_argument("--box", type=int, default=DEFAULT_BOX)
+    p.add_argument("--modulus-bound", type=int, default=DEFAULT_MODULUS_BOUND)
+    p.add_argument("--qr-bound", type=int, default=DEFAULT_QR_BOUND)
     add_out(p)
     p.set_defaults(func=_cmd_check_diophantine)
 
@@ -270,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--infinity-count", type=int, default=1)
     p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--budget", type=int, default=10**8)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     add_out(p)
     p.set_defaults(func=_cmd_count_points)
 

@@ -59,6 +59,9 @@ ASSUMPTION_GENUS = "GENUS-USER"
 # Why y = 0 is never a candidate; certificates store it as `zero_reason`.
 ZERO_REASON = "Delta(f)(0) != 0 and 0^d2 divides only 0"
 
+# The work cap of the y-box and of each point count, unless a caller gives one.
+DEFAULT_BUDGET = 10**8
+
 
 @dataclass(frozen=True)
 class FamilyParams:
@@ -135,7 +138,6 @@ class DiscriminantProfile:
     """Delta(f)(y) = lead*y^d1 + const as a polynomial in y."""
 
     params: FamilyParams
-    convention: str
     lead: int  # signed coefficient of y^d1
     const: int  # signed constant term
     y_degree: int  # degree of Delta(f)(y) in y (= d1)
@@ -149,14 +151,6 @@ class DiscriminantProfile:
     def c0(self) -> int | None:
         """const, named as the cubic's constant; certificates carry it for d1 = 3 only."""
         return self.const if self.y_degree == 3 else None
-
-    @property
-    def lead_abs(self) -> int:
-        return abs(self.lead)
-
-    @property
-    def const_abs(self) -> int:
-        return abs(self.const)
 
 
 def _xcoeff_scale(params: FamilyParams, convention: str) -> int:
@@ -184,7 +178,6 @@ def discriminant_profile(
     sign = (-1) ** (d1 * (d1 - 1) // 2)
     return DiscriminantProfile(
         params=params,
-        convention=convention,
         lead=sign * (-1) ** (d1 - 1) * (d1 - 1) ** (d1 - 1) * s**d1 * a ** (d1 - 2),
         const=sign * d1**d1 * (-c) ** (d1 - 1) * a ** (d1 - 1),
         y_degree=d1,
@@ -222,7 +215,7 @@ def y_bound(profile: DiscriminantProfile) -> int:
         raise ParameterError(
             f"growth bound needs d2 > deg_y Delta = {profile.y_degree}"
         )
-    lead, const, deg = profile.lead_abs, profile.const_abs, profile.y_degree
+    lead, const, deg = abs(profile.lead), abs(profile.const), profile.y_degree
 
     def h(t: int) -> int:
         return t**d2 - lead * t**deg - const
@@ -251,7 +244,7 @@ class CandidateSet:
     zero_reason: str
 
 
-def y_candidates(profile: DiscriminantProfile, *, budget: int = 10**8) -> CandidateSet:
+def y_candidates(profile: DiscriminantProfile, *, budget: int = DEFAULT_BUDGET) -> CandidateSet:
     """Test y^d2 | Delta(f)(y) for every 0 < |y| <= y_bound.
 
     y = 0 is excluded with an explicit reason: Delta(f)(0) != 0 while

@@ -45,7 +45,7 @@ import numpy as np
 
 from .arith import factorize, is_prime
 from .errors import BudgetExceededError, ParameterError
-from .family import _xcoeff_scale
+from .family import DEFAULT_BUDGET, _xcoeff_scale
 
 __all__ = [
     "PrimeField",
@@ -61,7 +61,6 @@ __all__ = [
     "is_smooth_mod_p",
 ]
 
-DEFAULT_COUNT_BUDGET = 10**8
 # Bytes of per-field exp/log/Zech tables (24*q) kept between counts (LRU).
 # Prime-scan fields hold under 0.3 MB each; F_{7^7} needs 20 MB, not kept.
 FIELD_TABLE_CACHE_BYTES = 16 * 2**20
@@ -502,7 +501,7 @@ def count_affine(
     curve: CurveEquationModP,
     field: ExtField,
     *,
-    budget: int = DEFAULT_COUNT_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> int:
     """Exact #{(x, y) in F_q^2 : y^d2 - m*x*y - f(x) = 0}.
 
@@ -544,20 +543,19 @@ def count_points(
     k: int,
     *,
     infinity_count: int = 1,
-    budget: int = DEFAULT_COUNT_BUDGET,
+    budget: int = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> tuple[int, int]:
-    """(k, N_k) with N_k = affine count over F_{p^k} + infinity_count.
+    """(k, N_k) with N_k = affine count over F_{p^k} + infinity_count, read
+    off the one-degree `build_count_table`.
 
     `threads` is accepted for existing callers and selects nothing: every
     count runs in one thread.
     """
     if infinity_count < 0:
         raise ParameterError("infinity_count must be >= 0")
-    field = find_irreducible(p, k)
-    reduced = CurveEquationModP.reduce(curve, p)
-    affine = count_affine(reduced, field, budget=budget)
-    return (k, affine + infinity_count)
+    ((_, n_k),) = build_count_table(curve, p, (k,), budget=budget).entries
+    return (k, n_k + infinity_count - 1)
 
 
 def build_count_table(
@@ -565,7 +563,7 @@ def build_count_table(
     p: int,
     ks,
     *,
-    budget: int = DEFAULT_COUNT_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> PointCountTable:
     """N_k for each k in ks, each with one point at infinity.
 
@@ -596,7 +594,7 @@ def _eval_mod_p(coeffs: tuple[int, ...], xs: np.ndarray, p: int) -> np.ndarray:
 def is_smooth_mod_p(
     curve: CurveEquationModP,
     *,
-    budget: int = DEFAULT_COUNT_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> SmoothnessResult:
     """Affine-exhaustive smoothness test with a characteristic guard.
 

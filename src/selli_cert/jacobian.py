@@ -29,8 +29,8 @@ from .errors import (
     ParameterError,
     WeilViolationError,
 )
+from .family import DEFAULT_BUDGET
 from .ffield import (
-    DEFAULT_COUNT_BUDGET,
     CurveEquation,
     CurveEquationModP,
     PointCountTable,
@@ -217,7 +217,7 @@ def find_certificate_primes(
     genus: GenusSpec,
     prime_bound: int,
     *,
-    budget: int = DEFAULT_COUNT_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> PrimeScan:
     """Deterministic scan for two good primes with coprime Jacobian orders.
 

@@ -50,6 +50,7 @@ from .certificates import (
     DIO_KIND,
     SCHEMA,
     TORSION_KIND,
+    _SCALARS,
     TorsionCertificate,
     build_dio_certificate,
     convention_evidence,
@@ -104,7 +105,6 @@ def verify_certificate(doc: dict) -> list[str]:
 _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, IndexError, ZeroDivisionError)
 
 _JSON_TYPES = {int: "integer", str: "string", list: "list", dict: "object"}
-_SCALARS = frozenset((int, str, bool, float, type(None)))
 
 
 def _show(value) -> str:

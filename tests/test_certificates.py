@@ -32,7 +32,9 @@ def torsion_doc(a=13, m=1, d1=3, d2=10, convention="standard", **kw):
 
 
 def default_build_kw():
-    return dict(genus=None, prime_bound=None, budget=10**8)
+    return dict(
+        genus=None, prime_bound=certificates.DEFAULT_PRIME_BOUND, budget=family.DEFAULT_BUDGET
+    )
 
 
 def test_canonical_json_stable():
