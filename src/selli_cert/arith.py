@@ -8,6 +8,7 @@ that range are refused rather than answered probabilistically.
 
 from __future__ import annotations
 
+import sys
 from itertools import compress
 from math import isqrt
 
@@ -20,6 +21,7 @@ __all__ = [
     "factorize",
     "prime_array",
     "primes_upto",
+    "check_power_digits",
 ]
 
 # Fixed Miller-Rabin bases (first twelve primes).  Deterministic for all
@@ -119,3 +121,28 @@ def prime_array(n: int) -> np.ndarray:
 def primes_upto(n: int) -> list[int]:
     """All primes <= n, ascending, as a list."""
     return list(compress(range(n + 1), _sieve(n)))
+
+
+
+def check_power_digits(what: str, term: str, base: int, e: int, factor: int = 1) -> None:
+    """Refuse `what` when term = base^e*factor has more decimal digits than
+    Python writes or reads (`sys.get_int_max_str_digits()`, 0 for no
+    limit), before base^e is formed.
+
+    With n = bit length of |base|, |term| lies in [2^lo, 2^hi) for
+    lo = e*(n - 1) + bits(factor) - 1 and hi = e*n + bits(factor).  Since
+    8^limit < 10^limit < 16^limit, nothing is evaluated for hi <= 3*limit,
+    `what` is refused outright for lo >= 4*limit, and in between |term| is
+    compared with 10^limit exactly.  A factor of 0 counts as 1, since
+    base^e is formed all the same.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    base, factor = abs(base), abs(factor) or 1
+    n, bits = base.bit_length(), factor.bit_length()
+    if not limit or e * n + bits <= 3 * limit:
+        return
+    if e * (n - 1) + bits - 1 >= 4 * limit or factor * base**e >= 10**limit:
+        raise BudgetExceededError(
+            f"{what} exceeds the cap: {term} has more than {limit} digits, "
+            "Python's limit for integer strings"
+        )

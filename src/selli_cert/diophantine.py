@@ -30,7 +30,7 @@ from math import gcd, isqrt, prod
 
 import numpy as np
 
-from .arith import prime_array, primes_upto
+from .arith import check_power_digits, prime_array, primes_upto
 from .errors import BudgetExceededError, HypothesisError, ParameterError
 
 __all__ = [
@@ -73,11 +73,15 @@ def validate_dio_params(
 
     a, d1, d2 and m' must be integers (`operator.index`), as in
     `family.validate_params`: a bool is taken as 0 or 1, and a float
-    raises TypeError.
+    raises TypeError.  A d1 whose 2^d1*a, or an m' whose 3^m', has more
+    digits than a certificate can write is refused first
+    (`check_power_digits`), before that power is formed.
     """
     a, d1, d2 = map(operator.index, (a, d1, d2))
+    check_power_digits(f"d1 = {d1}", "2^d1*a", 2, d1, a)
     if m_prime is not None:
         m_prime = operator.index(m_prime)
+        check_power_digits(f"m' = {m_prime}", "3^m'", 3, m_prime)
     if b_mode not in B_MODES:
         raise ParameterError(f"b_mode must be one of {B_MODES}")
     violations: list[tuple[str, str]] = []
@@ -153,25 +157,37 @@ def bounded_search(params: DioParams, box: int) -> list[tuple[int, int, int]]:
     A perfect square is a square modulo every m, so a pair whose D is not
     a square mod 64 or mod one of `_SIEVE_MODULI` has no solution and is
     dropped (Cohen, Alg. 1.7.3).  The sieve only ever drops such pairs;
-    every survivor still goes through the exact isqrt check.  The sieve
-    reduces x, y and both big terms mod m before it multiplies, so its
-    int16 values stay below 2^15 at any box, and it runs over blocks of at
-    most `_SEARCH_BLOCK_PAIRS` pairs, so its memory is O(box).  The box is
-    priced (`check_search_box`) before anything is computed.
+    every survivor still goes through the exact isqrt check, and D is
+    formed exactly only there.  The sieve reads x^d1 and y^d2 through
+    pow(., ., lcm) of its moduli, so its int16 values stay below 2^15 at
+    any box and any exponent, and it runs over blocks of at most
+    `_SEARCH_BLOCK_PAIRS` pairs, so its memory is O(box).
+
+    Before the sieve, a y with 4*y^d2 > box^4 + 4|a|*box^d1 + 4|b| is
+    dropped: that bound exceeds (xy)^2 + 4(a x^d1 - b) at every x of the
+    box, so D < 0 there.  The test reads bit lengths, y^d2 >= 2^(d2*(n-1))
+    for n = bits(|y|), so no y^d2 is formed for it, and the search costs
+    O(pairs) at any d2.  The box is priced (`check_search_box`) before
+    anything is computed.
     """
     check_search_box(box)
     a, b, d1, d2 = params.a, params.b, params.d1, params.d2
-    xs = ys = list(range(-box, box + 1))
-    x_terms = [4 * (a * x**d1 - b) for x in xs]
-    y_terms = [4 * y**d2 for y in ys]
-    # one reduction of each big term mod the product of all the moduli
-    # (below 2^35), then numpy reduces that mod each modulus
+    reach = (box**4 + 4 * abs(a) * box**d1 + 4 * abs(b)).bit_length()
+
+    def past_reach(y: int) -> bool:  # 4*y^d2 >= 2^reach, where y^d2 >= 0
+        n = abs(y).bit_length()
+        return n > 0 and (y > 0 or d2 % 2 == 0) and 2 + d2 * (n - 1) >= reach
+
+    xs = list(range(-box, box + 1))
+    ys = [y for y in xs if not past_reach(y)]
+    # each column is reduced mod the product of all the moduli (below
+    # 2^35), then numpy reduces that mod each modulus
     lcm = 64 * prod(_SIEVE_MODULI)
     columns = [
         np.array(xs, dtype=np.int64),
-        np.array([t % lcm for t in x_terms], dtype=np.int64),
+        np.array([4 * (a * pow(x, d1, lcm) - b) % lcm for x in xs], dtype=np.int64),
         np.array(ys, dtype=np.int64),
-        np.array([t % lcm for t in y_terms], dtype=np.int64),
+        np.array([4 * pow(y, d2, lcm) % lcm for y in ys], dtype=np.int64),
     ]
     x64, x_term64, y64, y_term64 = ((c & 63).astype(np.int16) for c in columns)
     square64 = _square_table(64)
@@ -193,7 +209,7 @@ def bounded_search(params: DioParams, box: int) -> list[tuple[int, int, int]]:
             i, j = i[keep], j[keep]
         for row, col in zip(i.tolist(), j.tolist()):
             x, y = xs[row], ys[col]
-            disc = (x * y) ** 2 + x_terms[row] - y_terms[col]
+            disc = (x * y) ** 2 + 4 * (a * x**d1 - b - y**d2)
             if disc < 0:
                 continue
             root = isqrt(disc)

@@ -22,13 +22,12 @@ used plus a comparison block whenever the two diverge.
 from __future__ import annotations
 
 import operator
-import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import factorize, is_prime
+from .arith import check_power_digits, factorize, is_prime
 from .errors import BudgetExceededError, HypothesisError, ParameterError
 # perfbench/tracing.py patches discriminant on this module.
 from .polyring import IntPolynomial, discriminant, rational_roots  # noqa: F401
@@ -100,9 +99,12 @@ def validate_params(
     H5  discriminant not identically zero: a != 0 and m^2 + b != 0
 
     Each value must be an integer (`operator.index`); a bool is taken as
-    0 or 1, and a float raises TypeError.
+    0 or 1, and a float raises TypeError.  A d1 whose 2^d1*a has more
+    digits than a certificate can write is refused first
+    (`check_power_digits`), before 2^d1 is formed.
     """
     a, m, d1, d2 = map(operator.index, (a, m, d1, d2))
+    check_power_digits(f"d1 = {d1}", "2^d1*a", 2, d1, a)
     if b_override is not None:
         b_override = operator.index(b_override)
     violations: list[tuple[str, str]] = []
@@ -172,6 +174,8 @@ def discriminant_profile(
         raise ParameterError("discriminant vanishes identically")
     if d1 < 2:
         raise ParameterError(f"discriminant needs d1 >= 2, found {d1}")
+    # a certificate writes |const| = d1^d1 * |a*c|^(d1-1), so it is priced first
+    check_power_digits("Delta(f)(y)", "its constant term", a * c, d1 - 1, d1**d1)
     # disc(a*x^n + p*x + q) = (-1)^(n(n-1)/2) * (n^n * q^(n-1) * a^(n-1)
     #                         + (-1)^(n-1) * (n-1)^(n-1) * p^n * a^(n-2))
     # with n = d1, p = s*y and q = -c.
@@ -199,16 +203,10 @@ def y_bound(profile: DiscriminantProfile) -> int:
 
     2^d2 is the smallest boundary.lhs a certificate can write, so d2 is
     refused first when 2^d2 has more decimal digits than Python writes or
-    reads (`sys.get_int_max_str_digits()`, 0 for no limit).  Since
-    8^limit < 10^limit < 16^limit, 2^d2 is evaluated only for d2 <= 4*limit.
+    reads (`check_power_digits`).
     """
     d2 = profile.params.d2
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit and d2 >= 3 * limit and (d2 > 4 * limit or 2**d2 >= 10**limit):
-        raise BudgetExceededError(
-            f"d2 = {d2} exceeds the cap: 2^d2 has more than {limit} digits, "
-            "Python's limit for integer strings"
-        )
+    check_power_digits(f"d2 = {d2}", "2^d2", 2, d2)
     if d2 <= 3:
         raise ParameterError("growth bound needs d2 >= 4")
     if d2 <= profile.y_degree:

@@ -117,15 +117,16 @@ def l_polynomial_from_counts(p: int, genus: GenusSpec, counts: PointCountTable) 
 
     A Newton division with remainder or a Weil-interval violation signals a
     wrong genus or a wrong infinity count, never a value to round away.
+    N_1, N_2, ... are read in order and the first missing k is refused, so
+    the work before a refusal is bounded by the table, not by g.
     """
     g = genus.g
     table = dict(counts.entries)
-    missing = [k for k in range(1, g + 1) if k not in table]
-    if missing:
-        raise ParameterError(f"counts missing for k = {missing}")
-    s = [0] * (g + 1)  # power sums s_1..s_g
+    s = [0]  # power sums s_1..s_g
     for k in range(1, g + 1):
-        s[k] = p**k + 1 - table[k]
+        if k not in table:
+            raise ParameterError(f"counts missing for k = {k}")
+        s.append(p**k + 1 - table[k])
     c = [0] * (2 * g + 1)
     c[0] = 1
     for k in range(1, g + 1):

@@ -4,7 +4,11 @@ The guards run first.  Each bounds the work that follows by the parameters
 or by the document's own size, in this order:
 - the parameters are revalidated against the hypotheses the builder
   enforces (H1-H5 for the curve family, D1-D5 for the Diophantine
-  equation);
+  equation), after d1 (and a corollary m') is refused when 2^d1*a (or
+  3^m') has more digits than a certificate can write, before either
+  power is formed;
+- Delta(f)(y)'s constant term must be writable too, checked by bit
+  length before it is formed;
 - d2 must be below the bit length of the stored boundary witness
   (y_max + 1)^d2, before 2^d2 is evaluated;
 - the candidate box is enumerated only if the document lists at least
@@ -12,9 +16,12 @@ or by the document's own size, in this order:
 - the elimination records must name exactly the recomputed survivors, in
   order, before any polynomial is solved;
 - a prime scan must list every prime up to its bound, with the bound
-  checked against the number of records before any sieve;
+  checked against the number of records before any sieve, and each ok
+  record's counts are read k by k, refused at the first missing k, so a
+  stored genus costs no more than the stored tables;
 - the Diophantine box and bounds must be JSON integers, and the sweep, the
-  QR sieve and the search box are priced before anything is rebuilt.
+  QR sieve and the search box are priced before anything is rebuilt; the
+  search forms no y^d2 for a y past its reach, so it is O(pairs) at any d2.
 
 Then every block is rebuilt with the builder's own code (`y_candidates`,
 `eliminate_points`, `convention_evidence`, `torsion_outcome`,

@@ -1,4 +1,5 @@
 import math
+import sys
 from bisect import bisect_right
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from selli_cert.arith import (
+    check_power_digits,
     factorize,
     is_prime,
     prime_array,
@@ -129,3 +131,26 @@ def test_both_sieve_readers_match_is_prime():
         assert primes_upto(n) == expected, n
         assert prime_array(n).tolist() == expected, n
     assert prime_array(10**5).dtype == np.int64
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+@pytest.mark.parametrize("base, factor", [(2, 1), (2, 13), (2, 0), (3, 1), (-9811, 25)])
+def test_check_power_digits_refuses_exactly_past_the_limit(monkeypatch, limit, base, factor):
+    # around the last e whose base^e*factor has at most `limit` digits, and
+    # far on either side; a factor of 0 is priced as 1
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+    value, b = abs(factor) or 1, abs(base)
+    last = int((limit - math.log10(value)) / math.log10(b))  # off by at most one
+    while value * b ** (last + 1) < 10**limit:
+        last += 1
+    while value * b**last >= 10**limit:
+        last -= 1
+    for e in (-5, 0, *range(last - 3, last + 4), 10**9, 10**18):
+        refused = e > last
+        if refused:
+            with pytest.raises(BudgetExceededError, match=f"^x = {e} exceeds the cap: t has"):
+                check_power_digits(f"x = {e}", "t", base, e, factor)
+        else:
+            check_power_digits(f"x = {e}", "t", base, e, factor)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    check_power_digits("x", "t", base, 10**18, factor)  # no limit

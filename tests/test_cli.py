@@ -327,6 +327,61 @@ def test_d2_below_the_digit_cap_writes_a_certificate(capsys, tmp_path):
     assert run_cli(capsys, "verify", str(path))[0] == 0
 
 
+@pytest.mark.parametrize(
+    "command, d1",
+    [
+        ("analyze-curve", 14301),
+        ("analyze-curve", 99999),
+        ("analyze-curve", 999999999),
+        ("check-diophantine", 14301),
+        ("check-diophantine", 999999999),
+    ],
+)
+def test_d1_past_the_digit_cap_refused_before_any_power(capsys, command, d1):
+    # b = 2^d1*a - 3 would have more than 4300 digits, which a certificate
+    # cannot write; both validators refuse d1 before forming 2^d1
+    member = ("--m", "1") if command == "analyze-curve" else ()
+    start = time.perf_counter()
+    code, stdout, stderr = run_cli(
+        capsys, command, "--a", "13", *member, "--d1", str(d1), "--d2", "10"
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, stdout) == (1, "")
+    assert stderr == (
+        f"error: d1 = {d1} exceeds the cap: 2^d1*a has more than 4300 digits, "
+        "Python's limit for integer strings\n"
+    )
+
+
+def test_profile_constant_past_the_digit_cap_refused(capsys):
+    # 2^d1*a fits at d1 = 4503, but Delta's constant term, about d1^2 bits,
+    # does not; it is priced before the 4 s power that would form it
+    start = time.perf_counter()
+    code, _, stderr = run_cli(capsys, "analyze-curve", "--a", "13", "--m", "1", "--d1", "4503", "--d2", "10")
+    assert time.perf_counter() - start < 1
+    assert (code, stderr) == (
+        1,
+        "error: Delta(f)(y) exceeds the cap: its constant term has more than 4300 digits, "
+        "Python's limit for integer strings\n",
+    )
+
+
+def test_search_at_a_huge_d2_is_priced_by_pairs(capsys, tmp_path):
+    # no y^d2 is formed for a y past the search's reach, so d2 = 10^6 costs
+    # what d2 = 10 does; the bytes are those the exact search wrote
+    out = tmp_path / "dio.json"
+    start = time.perf_counter()
+    code, _, _ = run_cli(
+        capsys, "check-diophantine", "--a", "13", "--d1", "3", "--d2", "1000000", "--box", "30",
+        "--out", str(out),
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "5e0ada368a185da4fc2513840382e8192c237e3990b93e09908a1854233e47d8"
+    )
+
+
 def test_count_points(capsys):
     code, stdout, _ = run_cli(
         capsys, "count-points", "--curve", "y^2=x^3+1", "--p", "5"
@@ -623,6 +678,45 @@ def test_verify_rebuilds_every_ok_record_and_the_first_pair(capsys, tmp_path):
         path.write_text(text)
         code, _, stderr = _verify_edited(capsys, path, edit)
         assert (code, stderr.splitlines()) == (3, [message])
+
+
+def test_verify_reads_counts_up_to_the_first_missing_k(capsys, tmp_path):
+    # a stored genus of 10^9 fails at k = 3 of each ok record, before
+    # anything of size g is built; verify runs in a child process under a
+    # 2 GiB address-space cap, so a regression fails with MemoryError
+    path = tmp_path / "cert.json"
+    code, _, _ = run_cli(
+        capsys,
+        "analyze-curve", "--a", "1609", "--m", "2", "--d1", "3", "--d2", "10",
+        "--convention", "paper-ex2", "--genus", "2", "--prime-bound", "22", "--out", str(path),
+    )
+    assert code == 0
+    doc = json.loads(path.read_text())
+    doc["genus"]["g"] = 10**9
+    path.write_text(json.dumps(doc))
+    script = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 * 1024**3, resource.RLIM_INFINITY))\n"
+        "from selli_cert.cli import main\n"
+        "start = time.perf_counter()\n"
+        "code = main(['verify', sys.argv[1]])\n"
+        "print(time.perf_counter() - start)\n"
+        "sys.exit(code)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(path)], capture_output=True, text=True, timeout=60
+    )
+    assert (run.returncode, run.stderr.splitlines()) == (
+        3,
+        [
+            *(
+                f"FAIL prime_scan: counts for p = {p} inconsistent (counts missing for k = 3)"
+                for p in (11, 13, 17, 19)
+            ),
+            "FAIL prime_scan.certificate: stored an object, recomputed null",
+        ],
+    )
+    assert float(run.stdout) < 1
 
 
 @pytest.mark.parametrize(

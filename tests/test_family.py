@@ -162,6 +162,19 @@ def test_y_bound_refuses_d2_past_the_digit_limit(monkeypatch, limit, d, refused)
         assert y_bound(profile) == 1
 
 
+@pytest.mark.parametrize("limit, d1, refused", [(4300, 111, False), (4300, 117, True), (0, 117, False)])
+def test_profile_refuses_a_constant_past_the_digit_limit(monkeypatch, limit, d1, refused):
+    # |const| = d1^d1*|a*c|^(d1-1) has 4148 digits at d1 = 111 and 4586 at
+    # 117; a certificate writes it, so it is priced before it is formed
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+    params = validate_params(13, 1, d1, 10)
+    if refused:
+        with pytest.raises(BudgetExceededError, match="^Delta.f..y. exceeds the cap: its constant"):
+            discriminant_profile(params)
+    else:
+        assert discriminant_profile(params).const.bit_length() > 13000
+
+
 def test_y_bound_is_tight():
     # every |y| > bound must satisfy |y|^d2 > |Delta(y)|; the bound itself may not
     for args in [(13, 1, 3, 10), (37, 1, 3, 10), (25, 2, 3, 14)]:

@@ -17,6 +17,8 @@ then do not fit it.
 import copy
 import json
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -210,3 +212,95 @@ def test_hostile_documents_fail_without_raising(certificates, name, edit, failur
     doc = copy.deepcopy(certificates[name])
     edit(doc)
     assert verify_certificate(doc) == failures
+
+
+# Hostile integers that still re-verify, each for the reason given.
+HOSTILE_REVERIFY = {
+    ("diophantine", ("replication", "qr_law", "prime_bound"), 10**6): (
+        "an honest bound: the QR law holds to 10^6"
+    ),
+    **{
+        ("diophantine", ("params", "d2"), d2): (
+            "another admitted member (even d2 prime to d1) with the same search and sweep"
+        )
+        for d2 in (10**6, 10**9, 10**18)
+    },
+}
+HOSTILE_VALUES = (10**6, 10**9, 10**18, -(10**9))
+
+# Reads the four certificates, as one JSON list, and verifies each in
+# process, so every child starts warm; then forks one child per later line,
+# one at a time, and prints how its verify ended.  Being small, it forks in
+# less time than the test process would.
+_PROBE_SERVER = r"""
+import gc, json, os, resource, signal, sys
+from selli_cert.verify import verify_certificate
+
+assert not any(map(verify_certificate, json.loads(sys.stdin.readline())))
+gc.freeze()
+print("ready", flush=True)
+for line in sys.stdin:
+    doc = json.loads(line)
+    pid = os.fork()
+    if pid == 0:
+        code = 2  # raised
+        try:
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 2**29, resource.RLIM_INFINITY))
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            code = 0 if verify_certificate(doc) else 1
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    if os.WIFSIGNALED(status):
+        print("killed", flush=True)
+    else:
+        print(("failures", "reverified", "raised")[os.WEXITSTATUS(status)], flush=True)
+"""
+
+
+def _int_leaves(node, path=()):
+    """(parent, key, path) for every JSON integer leaf, bools excluded."""
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        if type(child) is int:
+            yield node, key, (*path, key)
+        elif isinstance(child, (dict, list)):
+            yield from _int_leaves(child, (*path, key))
+
+
+def test_hostile_integers_fail_within_a_second(certificates):
+    """Every integer leaf of the four certificates, set to each of
+    HOSTILE_VALUES, must make verify return failures within 1 s under a
+    1.5 GB address-space cap, or re-verify for the reason HOSTILE_REVERIFY
+    gives."""
+    server = subprocess.Popen(
+        [sys.executable, "-c", _PROBE_SERVER],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    )
+    outcomes, reverified, edits = {}, set(), 0
+    try:
+        server.stdin.write(json.dumps(list(certificates.values())) + "\n")
+        server.stdin.flush()
+        assert server.stdout.readline() == "ready\n"
+        for name, base in certificates.items():
+            doc = copy.deepcopy(base)
+            for parent, key, path in list(_int_leaves(doc)):
+                value = parent[key]
+                for hostile in HOSTILE_VALUES:
+                    parent[key] = hostile
+                    server.stdin.write(json.dumps(doc) + "\n")
+                    server.stdin.flush()
+                    got = server.stdout.readline().strip()
+                    edits += 1
+                    where = (name, path, hostile)
+                    if where in HOSTILE_REVERIFY and got == "reverified":
+                        reverified.add(where)
+                    elif got != "failures":
+                        outcomes[where] = got
+                parent[key] = value
+    finally:
+        server.stdin.close()
+        server.wait(timeout=60)
+    assert outcomes == {}
+    assert reverified == HOSTILE_REVERIFY.keys()
+    assert edits == 1064
