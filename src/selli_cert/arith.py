@@ -123,7 +123,6 @@ def primes_upto(n: int) -> list[int]:
     return list(compress(range(n + 1), _sieve(n)))
 
 
-
 def check_power_digits(what: str, term: str, base: int, e: int, factor: int = 1) -> None:
     """Refuse `what` when term = base^e*factor has more decimal digits than
     Python writes or reads (`sys.get_int_max_str_digits()`, 0 for no

@@ -157,37 +157,39 @@ def bounded_search(params: DioParams, box: int) -> list[tuple[int, int, int]]:
     A perfect square is a square modulo every m, so a pair whose D is not
     a square mod 64 or mod one of `_SIEVE_MODULI` has no solution and is
     dropped (Cohen, Alg. 1.7.3).  The sieve only ever drops such pairs;
-    every survivor still goes through the exact isqrt check, and D is
-    formed exactly only there.  The sieve reads x^d1 and y^d2 through
-    pow(., ., lcm) of its moduli, so its int16 values stay below 2^15 at
-    any box and any exponent, and it runs over blocks of at most
-    `_SEARCH_BLOCK_PAIRS` pairs, so its memory is O(box).
+    every survivor still goes through the exact isqrt check.  The sieve
+    reduces x, y and both big terms mod m before it multiplies, so its
+    int16 values stay below 2^15 at any box, and it runs over blocks of at
+    most `_SEARCH_BLOCK_PAIRS` pairs, so its memory is O(box).
 
-    Before the sieve, a y with 4*y^d2 > box^4 + 4|a|*box^d1 + 4|b| is
-    dropped: that bound exceeds (xy)^2 + 4(a x^d1 - b) at every x of the
-    box, so D < 0 there.  The test reads bit lengths, y^d2 >= 2^(d2*(n-1))
-    for n = bits(|y|), so no y^d2 is formed for it, and the search costs
+    For even d2, no y with 4*y^d2 >= 2^reach is searched, where 2^reach
+    exceeds box^4 + 4|a|*box^d1 + 4|b| and so (xy)^2 + 4(a x^d1 - b) at
+    every x of the box: D < 0 there.  As |y| >= 2^k gives y^d2 >= 2^(d2*k),
+    the search stops below the least such power of 2, found from bit
+    lengths alone; every y^d2 it forms is below 4^reach, so it costs
     O(pairs) at any d2.  The box is priced (`check_search_box`) before
     anything is computed.
     """
     check_search_box(box)
     a, b, d1, d2 = params.a, params.b, params.d1, params.d2
-    reach = (box**4 + 4 * abs(a) * box**d1 + 4 * abs(b)).bit_length()
-
-    def past_reach(y: int) -> bool:  # 4*y^d2 >= 2^reach, where y^d2 >= 0
-        n = abs(y).bit_length()
-        return n > 0 and (y > 0 or d2 % 2 == 0) and 2 + d2 * (n - 1) >= reach
-
+    y_max = box
+    if d2 >= 2 and d2 % 2 == 0:
+        reach = (box**4 + 4 * abs(a) * box**d1 + 4 * abs(b)).bit_length()
+        k = max(0, -(-(reach - 2) // d2))  # 4*2^(d2*k) >= 2^reach
+        if k <= box.bit_length():
+            y_max = min(box, (1 << k) - 1)
     xs = list(range(-box, box + 1))
-    ys = [y for y in xs if not past_reach(y)]
-    # each column is reduced mod the product of all the moduli (below
-    # 2^35), then numpy reduces that mod each modulus
+    ys = list(range(-y_max, y_max + 1))
+    x_terms = [4 * (a * x**d1 - b) for x in xs]
+    y_terms = [4 * y**d2 for y in ys]
+    # one reduction of each big term mod the product of all the moduli
+    # (below 2^35), then numpy reduces that mod each modulus
     lcm = 64 * prod(_SIEVE_MODULI)
     columns = [
         np.array(xs, dtype=np.int64),
-        np.array([4 * (a * pow(x, d1, lcm) - b) % lcm for x in xs], dtype=np.int64),
+        np.array([t % lcm for t in x_terms], dtype=np.int64),
         np.array(ys, dtype=np.int64),
-        np.array([4 * pow(y, d2, lcm) % lcm for y in ys], dtype=np.int64),
+        np.array([t % lcm for t in y_terms], dtype=np.int64),
     ]
     x64, x_term64, y64, y_term64 = ((c & 63).astype(np.int16) for c in columns)
     square64 = _square_table(64)
@@ -209,7 +211,7 @@ def bounded_search(params: DioParams, box: int) -> list[tuple[int, int, int]]:
             i, j = i[keep], j[keep]
         for row, col in zip(i.tolist(), j.tolist()):
             x, y = xs[row], ys[col]
-            disc = (x * y) ** 2 + 4 * (a * x**d1 - b - y**d2)
+            disc = (x * y) ** 2 + x_terms[row] - y_terms[col]
             if disc < 0:
                 continue
             root = isqrt(disc)
