@@ -512,7 +512,7 @@ def build_dio_certificate(
     this function.  All three stages are priced before any of them runs.
     """
     sweep_plan(modulus_bound)
-    check_search_box(box)
+    check_search_box(box, params.d1)
     check_qr_bound(qr_bound)
     sweep = obstruction_sweep(params, modulus_bound)
     solutions = tuple(bounded_search(params, box))

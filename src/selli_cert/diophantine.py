@@ -122,8 +122,10 @@ _SIEVE_MODULI = (63, 65, 11, 17, 19, 23)
 _SEARCH_BLOCK_PAIRS = 1 << 15
 
 # The search costs 6 to 8 ns per (x, y) pair on a 2-core x86 VM at a flat
-# 33 MB: box 3,000 takes 0.29 s and box 6,000 takes 0.87 s.  A box of more
-# pairs than this (box 7,070 is the largest admitted) is refused.
+# 33 MB: box 3,000 takes 0.29 s and box 6,000 takes 0.87 s.  Each pair is
+# charged the 64-bit words of box^d1, the size of the exact terms a survivor
+# carries, so the work is pairs * words; more than this is refused (at
+# d1 = 3, box 7,070 is the largest admitted).
 _SEARCH_PAIR_BUDGET = 2 * 10**8
 
 
@@ -134,15 +136,18 @@ def _square_table(m: int) -> np.ndarray:
     return is_square
 
 
-def check_search_box(box: int) -> None:
+def check_search_box(box: int, d1: int) -> None:
     """Refuse a `bounded_search` box below 1, or one whose (2*box + 1)^2
-    pairs pass `_SEARCH_PAIR_BUDGET`."""
+    pairs times the 64-bit words of box^d1 pass `_SEARCH_PAIR_BUDGET`.  The
+    words come from d1 * box.bit_length(), so no power is formed."""
     if box < 1:
         raise ParameterError("box must be >= 1")
     pairs = (2 * box + 1) ** 2
-    if pairs > _SEARCH_PAIR_BUDGET:
+    words = max(1, -(-d1 * box.bit_length() // 64))
+    if pairs * words > _SEARCH_PAIR_BUDGET:
         raise BudgetExceededError(
-            f"search box {box} needs {pairs} (x, y) pairs; the budget is {_SEARCH_PAIR_BUDGET}"
+            f"search box {box} at d1 = {d1} needs {pairs} (x, y) pairs times {words} "
+            f"64-bit word(s) of box^d1 = {pairs * words}; the budget is {_SEARCH_PAIR_BUDGET}"
         )
 
 
@@ -167,10 +172,10 @@ def bounded_search(params: DioParams, box: int) -> list[tuple[int, int, int]]:
     every x of the box: D < 0 there.  As |y| >= 2^k gives y^d2 >= 2^(d2*k),
     the search stops below the least such power of 2, found from bit
     lengths alone; every y^d2 it forms is below 4^reach, so it costs
-    O(pairs) at any d2.  The box is priced (`check_search_box`) before
-    anything is computed.
+    O(pairs) at any d2.  The box is priced by its pairs and the size of
+    box^d1 (`check_search_box`) before anything is computed.
     """
-    check_search_box(box)
+    check_search_box(box, params.d1)
     a, b, d1, d2 = params.a, params.b, params.d1, params.d2
     y_max = box
     if d2 >= 2 and d2 % 2 == 0:

@@ -10,19 +10,24 @@ logarithms, 1 + gamma^n = gamma^Z(n) (Lidl-Niederreiter, Finite Fields,
 10.3).  Without the mixed term each fibre has a closed form: #{y : y^n = c}
 is 1 at c = 0, gcd(n, q-1) when log c = 0 mod gcd(n, q-1), and 0 otherwise.
 With it, a substitution y = lambda*u per x != 0 reduces each fibre to a
-lookup in one of gcd(d2-1, q-1) histograms of u^d2 - gamma^j*u.  Both do
-O(q) lookups in one thread, over blocks of _X_BLOCK elements, and an
-independent, deliberately naive oracle is kept in the test suite.  The
-smoothness scan over F_p is O(p), as each x allows at most one singular y.
+lookup in one of g = gcd(d2-1, q-1) histograms of u^d2 - gamma^j*u.  The
+histograms depend only on the field and on d2 mod q-1, so the first count
+over them does their O(g*q) work and every later one, whatever its f and m,
+does O(q) lookups, as a count without the mixed term always does.  Counts
+run in one thread, over blocks of _X_BLOCK elements, and an independent,
+deliberately naive oracle is kept in the test suite.  The smoothness scan
+over F_p is O(p), as each x allows at most one singular y.
 
 Field data is built once per process: `find_irreducible` and the discrete-log
 tables (`_log_tables`) are memoized per field, the tables read-only and
 held in an LRU cache of at most FIELD_TABLE_CACHE_BYTES, so a process that
 counts many curves over the same F_{p^k} builds its modulus, primitive root
-and tables once.  A field whose tables alone exceed the cap is built for
-its count and not kept.  Every count is priced (q without the mixed term,
-q^2 with it) before any table is built, and `build_count_table` prices
-every degree of its table before it counts any of them.
+and tables once.  The mixed-count histograms are kept the same way, per
+(field, d2 mod q-1), in a second cache of the same cap (`_MIXED_TABLES`).
+Tables larger than their cache's cap are built for their count and not
+kept.  Every count is priced (q without the mixed term, q^2 with it) before
+any table is built, and `build_count_table` prices every degree of its table
+before it counts any of them.
 
 Extension elements are coefficient vectors against a deterministic modulus:
 the lexicographically smallest monic irreducible of degree k, where tuples
@@ -366,6 +371,9 @@ class _TableCache:
 
 
 _FIELD_TABLES = _TableCache(FIELD_TABLE_CACHE_BYTES)
+# Mixed-count histograms and x-side arrays per (field, d2 mod q-1), apart
+# from the log tables and under a cap of the same size (`_mixed_fibres`).
+_MIXED_TABLES = _TableCache(FIELD_TABLE_CACHE_BYTES)
 
 
 def _log_tables(field: ExtField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -433,7 +441,8 @@ def _f_logs(terms, i: np.ndarray, order: int, zech: np.ndarray) -> np.ndarray:
 
 
 def _mixed_fibres(curve, m: int, terms, field: ExtField, log, zech) -> int:
-    """Sum over x != 0 of #{y : y^d2 - m*x*y = f(x)}, in O(q) table lookups.
+    """Sum over x != 0 of #{y : y^d2 - m*x*y = f(x)}, in O(q) table lookups
+    once the field's histograms for d2 are built.
 
     Put x = gamma^i, l = log(m*x), n = d2 - 1 and g = gcd(n, q - 1); then
     j = l mod g picks the coset of m*x modulo the n-th powers, and
@@ -445,39 +454,65 @@ def _mixed_fibres(curve, m: int, terms, field: ExtField, log, zech) -> int:
     gamma^(d2*s) * (1 + gamma^(log(-1) + j + (1 - d2)*s)).  Each x keeps its
     key j*q + log(target); several H_j share one bincount while the group
     stays within _X_BLOCK cells.
+
+    The histograms, and the x side indexed by l (the cell offset j*q and
+    d2*t), depend only on the field and on d2 mod q - 1, never on f or m.
+    They are built once and kept read-only in `_MIXED_TABLES`, one entry
+    per group of histograms, so a warm count computes f's logs and its keys
+    and then does one gather per group; a cold one also does the O(g*q)
+    histogram work.  x runs over gamma^(l - log m) in order of l, so the x
+    side is read in place and each monomial's log is shifted instead.
     """
     q, order = field.q, field.q - 1
     d2 = curve.d2 % order  # exponents of gamma live mod q - 1
-    n = curve.d2 - 1
-    g = gcd(n, order)
-    reduced_order = order // g
-    inv = pow(n // g, -1, reduced_order) if reduced_order > 1 else 0
-    keys = np.empty(order, dtype=np.int64)
-    for lo in range(0, order, _X_BLOCK):
-        i = np.arange(lo, min(lo + _X_BLOCK, order), dtype=np.int64)
-        fx = _f_logs(terms, i, order, zech)
-        ell = (int(log[m]) + i) % order  # log(m*x)
-        t = (ell // g * inv) % reduced_order
-        target = np.where(fx == order, order, (fx - d2 * t) % order)
-        keys[lo : lo + i.size] = ell % g * q + target
+    g = gcd(d2 - 1, order)
 
-    shift = int(log[field.base.p - 1])  # log(-1)
-    slope = (1 - curve.d2) % order
-    per_group = max(1, _X_BLOCK // q)
-    total = 0
-    for j0 in range(0, g, per_group):
-        js = np.arange(j0, min(j0 + per_group, g), dtype=np.int64)[:, None]
-        values = np.empty((js.size, order), dtype=np.int64)
+    def x_side():
+        reduced_order = order // g
+        inv = pow((d2 - 1) // g, -1, reduced_order) if reduced_order > 1 else 0
+        cell, lambda_d2 = np.empty(order, dtype=np.int64), np.empty(order, dtype=np.int64)
+        for lo in range(0, order, _X_BLOCK):
+            ell = np.arange(lo, min(lo + _X_BLOCK, order), dtype=np.int64)
+            cell[lo : lo + ell.size] = ell % g * q
+            lambda_d2[lo : lo + ell.size] = d2 * (ell // g * inv % reduced_order) % order
+        for table in (cell, lambda_d2):
+            table.flags.writeable = False
+        return cell, lambda_d2
+
+    def histograms(j0: int, width: int):
+        """H_j0 .. H_(j0 + width - 1), side by side in width*q cells."""
+        shift = int(log[field.base.p - 1])  # log(-1)
+        slope = (1 - d2) % order
+        js = np.arange(j0, j0 + width, dtype=np.int64)[:, None]
+        values = np.empty((width, order), dtype=np.int64)
         for lo in range(0, order, _X_BLOCK):
             s = np.arange(lo, min(lo + _X_BLOCK, order), dtype=np.int64)
             z = zech[(shift + js + slope * s) % order]
             values[:, lo : lo + s.size] = np.where(z == order, order, (d2 * s + z) % order)
         values += (js - j0) * q
-        hist = np.bincount(values.ravel(), minlength=js.size * q)
+        hist = np.bincount(values.ravel(), minlength=width * q)
         hist[order::q] += 1  # u = 0 gives u^d2 - gamma^j*u = 0
+        hist.flags.writeable = False
+        return (hist,)
+
+    cell, lambda_d2 = _MIXED_TABLES.get((field, d2), x_side)
+    log_m = int(log[m])
+    terms = [(e, (log_c - e * log_m) % order) for e, log_c in terms]
+    keys = np.empty(order, dtype=np.int64)
+    for lo in range(0, order, _X_BLOCK):
+        ell = np.arange(lo, min(lo + _X_BLOCK, order), dtype=np.int64)
+        fx = _f_logs(terms, ell, order, zech)
+        block = slice(lo, lo + ell.size)
+        keys[block] = cell[block] + np.where(fx == order, order, (fx - lambda_d2[block]) % order)
+
+    per_group = max(1, _X_BLOCK // q)
+    total = 0
+    for j0 in range(0, g, per_group):
+        width = min(per_group, g - j0)
+        (hist,) = _MIXED_TABLES.get((field, d2, j0), lambda: histograms(j0, width))
         group = keys
-        if js.size < g:  # this group's keys only
-            group = keys[(keys >= j0 * q) & (keys < (j0 + js.size) * q)] - j0 * q
+        if width < g:  # this group's keys only
+            group = keys[(keys >= j0 * q) & (keys < (j0 + width) * q)] - j0 * q
         total += int(hist[group].sum())
     return total
 
@@ -512,7 +547,8 @@ def count_affine(
     fibre without the mixed term, is #{y : y^d2 = c}: 1 at c = 0, g when
     g = gcd(d2, q-1) divides log c, and 0 otherwise (F_q* is cyclic).  With
     it, `_mixed_fibres` reads each x != 0 off one of gcd(d2-1, q-1)
-    histograms.  Both take O(q) lookups.
+    histograms, kept per (field, d2 mod q-1).  Both take O(q) lookups once
+    those histograms are built.
 
     The count is priced (`_price_count`) and refused before any table is
     built when its work figure exceeds the budget.

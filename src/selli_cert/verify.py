@@ -354,7 +354,7 @@ def _verify_dio(doc: dict) -> list[str]:
         block = "replication"
         check_qr_bound(qr_bound)
         block = "search"
-        check_search_box(box)
+        check_search_box(box, params.d1)
         expected = build_dio_certificate(
             params, box=box, modulus_bound=modulus_bound, qr_bound=qr_bound
         ).to_dict()

@@ -460,6 +460,7 @@ def test_scan_certificate_bytes_do_not_depend_on_earlier_fields():
     def clear_caches():
         ffield.find_irreducible.cache_clear()
         ffield._FIELD_TABLES.clear()
+        ffield._MIXED_TABLES.clear()
 
     clear_caches()
     scan_json(613, 10, 3, 12)  # fills the caches with F_{p^k}, p <= 11, k <= 3

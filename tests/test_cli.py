@@ -249,7 +249,10 @@ def test_sweep_over_budget_refused_before_any_table(capsys):
 def test_search_box_over_budget_refused_before_any_pair(capsys, tmp_path):
     # box 10^5 is 4 * 10^10 (x, y) pairs, minutes of sieving; the builder
     # and verify of a certificate edited to that box both refuse it at once
-    refusal = "search box 100000 needs 40000400001 (x, y) pairs; the budget is 200000000"
+    refusal = (
+        "search box 100000 at d1 = 3 needs 40000400001 (x, y) pairs times 1 64-bit word(s) "
+        "of box^d1 = 40000400001; the budget is 200000000"
+    )
     start = time.perf_counter()
     code, stdout, stderr = run_cli(
         capsys, "check-diophantine", "--a", "13", "--d1", "3", "--d2", "10",
@@ -380,6 +383,33 @@ def test_search_at_a_huge_d2_is_priced_by_pairs(capsys, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "5e0ada368a185da4fc2513840382e8192c237e3990b93e09908a1854233e47d8"
     )
+
+
+def test_search_box_priced_by_the_size_of_box_to_the_d1(capsys, tmp_path):
+    # at d1 = 14277 each x^d1 of box 1000 is 2231 words long, so 4 * 10^6
+    # pairs are 8.9 * 10^9 word-pairs: refused at once, where the search
+    # took 4.7 s; box 30 is 3721 pairs of 1116 words and still runs
+    refusal = (
+        "search box 1000 at d1 = 14277 needs 4004001 (x, y) pairs times 2231 "
+        "64-bit word(s) of box^d1 = 8932926231; the budget is 200000000"
+    )
+    member = ("--a", "13", "--d1", "14277", "--d2", "2", "--modulus-bound", "48")
+    start = time.perf_counter()
+    code, stdout, stderr = run_cli(capsys, "check-diophantine", *member, "--box", "1000")
+    assert time.perf_counter() - start < 1
+    assert (code, stdout, stderr) == (1, "", f"error: {refusal}\n")
+
+    # verify prices a certificate edited to that box the same way
+    path = tmp_path / "dio.json"
+    assert run_cli(capsys, "check-diophantine", *member, "--box", "30", "--out", str(path))[0] == 2
+    doc = json.loads(path.read_text())
+    doc["search"]["box"] = 1000
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, _, stderr = run_cli(capsys, "verify", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert f"FAIL search: cannot recompute ({refusal})" in stderr
 
 
 def test_count_points(capsys):

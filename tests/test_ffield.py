@@ -327,6 +327,102 @@ def test_table_cache_holds_at_most_its_cap(monkeypatch):
     assert built[-2:] == [(5, 6), (5, 6)]
 
 
+class CountingCache(ffield._TableCache):
+    """A `_TableCache` that records the key of every build and checks its
+    cap after every lookup."""
+
+    def __init__(self, cap):
+        super().__init__(cap)
+        self.built = []
+
+    def get(self, key, build):
+        def counted_build():
+            self.built.append(key)
+            return build()
+
+        tables = super().get(key, counted_build)
+        assert self.nbytes <= self.cap
+        return tables
+
+
+def histogram_builds(cache):
+    """(p, k, d2 mod q-1, first j) of each histogram group built; the other
+    keys, (field, d2 mod q-1), are the x-side arrays."""
+    return [(key[0].base.p, key[0].k, *key[1:]) for key in cache.built if len(key) == 3]
+
+
+def cold_count(curve, field):
+    with mock.patch.object(ffield, "_MIXED_TABLES", ffield._TableCache(ffield.FIELD_TABLE_CACHE_BYTES)):
+        return count_affine(curve, field)
+
+
+# 65536 cells: every field's histograms in one group; 64 cells: one to
+# three histograms per group, so the larger fields have several groups
+@pytest.mark.parametrize("x_block", [65536, 64])
+def test_mixed_histograms_are_built_once_per_field_and_d2(monkeypatch, x_block):
+    monkeypatch.setattr(ffield, "_X_BLOCK", x_block)
+    fields = [find_irreducible(p, k) for p, k in [(7, 1), (7, 2), (11, 1), (11, 2), (5, 3)]]
+    # y^10 = a*x^3 + m*x*y - C for three members: the same d2, other (a, m, C)
+    members = [CurveEquation(d2=10, f_coefficients=(-c, 0, 0, a), m=m) for a, m, c in
+               [(13, 1, 103), (25, 2, 201), (37, 3, 57)]]
+    cold = {
+        (i, f.base.p, f.k): cold_count(CurveEquationModP.reduce(curve, f.base.p), f)
+        for i, curve in enumerate(members)
+        for f in fields
+    }
+    cache = CountingCache(ffield.FIELD_TABLE_CACHE_BYTES)
+    monkeypatch.setattr(ffield, "_MIXED_TABLES", cache)
+    for i, curve in enumerate(members):
+        for f in fields:
+            reduced = CurveEquationModP.reduce(curve, f.base.p)
+            assert count_affine(reduced, f) == cold[i, f.base.p, f.k]
+        if i == 0:
+            first = histogram_builds(cache)
+    # every (field, group) was built by the first member and only by it
+    assert histogram_builds(cache) == first
+    assert len(set(cache.built)) == len(cache.built)
+    groups = {(p, k): sum(1 for b in first if b[:2] == (p, k)) for p, k, _, _ in first}
+    # g = gcd(9, q - 1) is 3 over F_7, F_49 and F_121 and 1 over F_11 and
+    # F_125; at 64 cells F_49 and F_121 hold one histogram per group
+    several = {(7, 2): 3, (11, 2): 3} if x_block == 64 else {}
+    assert groups == {(7, 1): 1, (7, 2): 1, (11, 1): 1, (11, 2): 1, (5, 3): 1} | several
+
+    # d2 = 16 and d2 = 58 are 10 mod 6 and mod 48: F_7 and F_49 share 10's entries
+    for d2, f in [(16, fields[0]), (58, fields[1])]:
+        curve = CurveEquationModP.reduce(CurveEquation(d2=d2, f_coefficients=(-57, 0, 0, 37), m=5), 7)
+        assert count_affine(curve, f) == cold_count(curve, f) == naive_affine_count(curve, f)
+    assert histogram_builds(cache) == first
+
+
+def test_mixed_table_cache_holds_at_most_its_cap(monkeypatch):
+    # F_49 with d2 = 7: g = gcd(6, 48) = 6 histograms, one per group of 64
+    # cells (392 bytes each), and an x side of 2 * 48 int64 (768 bytes)
+    monkeypatch.setattr(ffield, "_X_BLOCK", 64)
+    field = find_irreducible(7, 2)
+    curve = CurveEquationModP.reduce(CurveEquation(d2=7, f_coefficients=(3, 0, 0, 1), m=1), 7)
+    expected = naive_affine_count(curve, field)
+    groups = [(7, 2, 7, j) for j in range(6)]
+
+    # room for the x side and two groups: each count builds every group
+    # once, and the oldest one is rebuilt after it is evicted
+    cache = CountingCache(768 + 2 * 392)
+    monkeypatch.setattr(ffield, "_MIXED_TABLES", cache)
+    assert count_affine(curve, field) == expected
+    assert histogram_builds(cache) == groups
+    assert 0 < cache.nbytes <= cache.cap
+    assert count_affine(curve, field) == expected
+    assert histogram_builds(cache) == groups + groups
+    assert 0 < cache.nbytes <= cache.cap
+
+    # a group larger than the cap is built and used, but not kept
+    cache = CountingCache(391)
+    monkeypatch.setattr(ffield, "_MIXED_TABLES", cache)
+    for _ in range(2):
+        assert count_affine(curve, field) == expected
+        assert cache.nbytes == 0
+    assert histogram_builds(cache) == groups + groups
+
+
 def test_legendre_sum_oracle():
     # affine points of y^2 = f(x) over F_p number p + sum_x legendre(f(x)),
     # the Legendre symbol read off Euler's criterion
@@ -395,14 +491,17 @@ def test_count_matches_naive_oracle(pk, d2, f_coeffs, m):
     reduced = CurveEquationModP.reduce(curve, p)
     expected = naive_affine_count(reduced, field)
     ffield._FIELD_TABLES.clear()
+    ffield._MIXED_TABLES.clear()
     assert count_affine(reduced, field) == expected  # builds the field's tables
     assert count_affine(reduced, field) == expected  # reads them from the cache
     # blocks of 8 cells: tables built block by block, x and u in several
     # blocks, and one or two histograms per bincount
     ffield._FIELD_TABLES.clear()
+    ffield._MIXED_TABLES.clear()
     with mock.patch.object(ffield, "_X_BLOCK", 8):
         assert count_affine(reduced, field) == expected
     ffield._FIELD_TABLES.clear()
+    ffield._MIXED_TABLES.clear()
 
 
 def test_smoothness_good_and_bad():
