@@ -20,12 +20,19 @@ Each q asks the search's own question one row x at a time: is D =
 (xy)^2 + 4(a*x^d1 - y^d2 - b) a square mod 4q for some y?  A class that
 stays open is settled by its first witness (x, y), usually found within a
 few y; only a class that closes reads all its q/gcd(12, q) rows of q cells.
+
+What depends on no member is built once per process and never mutated:
+the square table of each modulus (`_square_bytes`, at most 336,130 bytes),
+the sweep plan of each of the last 16 bounds and the QR-law verdict of each
+of the last 8.  Every call still prices its bound first; refusals are not
+kept.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt, prod
 
 import numpy as np
@@ -129,11 +136,21 @@ _SEARCH_BLOCK_PAIRS = 1 << 15
 _SEARCH_PAIR_BUDGET = 2 * 10**8
 
 
-def _square_table(m: int) -> np.ndarray:
-    """is_square[r]: is r a square mod m?"""
+@lru_cache(maxsize=None)
+def _square_bytes(m: int) -> bytes:
+    """is_square[r]: is r a square mod m?  One byte per residue, built once
+    per m and process.  The only keys are 64, `_SIEVE_MODULI` and the 4q
+    of admitted sweep plans.  Every admitted plan is a prefix of the plan at
+    11,723, the largest bound `_SWEEP_CELL_BUDGET` admits (191 prime powers,
+    q <= 2,187), so the cache never holds more than 336,130 bytes."""
     is_square = np.zeros(m, dtype=bool)
     is_square[np.arange(m) ** 2 % m] = True
-    return is_square
+    return is_square.tobytes()
+
+
+def _square_table(m: int) -> np.ndarray:
+    """`_square_bytes(m)` as a read-only bool array, without a copy."""
+    return np.frombuffer(_square_bytes(m), dtype=bool)
 
 
 def check_search_box(box: int, d1: int) -> None:
@@ -232,9 +249,9 @@ def bounded_search(params: DioParams, box: int) -> list[tuple[int, int, int]]:
     return sorted(solutions)
 
 
-def _has_witness(params: DioParams, q: int, x: int, is_square: list[bool]) -> bool:
+def _has_witness(params: DioParams, q: int, x: int, is_square: bytes) -> bool:
     """Does some (y, z) in (Z/q)^2 solve the congruence at row x?  y by y,
-    stopping at the first witness; is_square is `_square_table(4 * q)`.
+    stopping at the first witness; is_square is `_square_bytes(4 * q)`.
 
     The congruence reads z^2 - s*z = c (mod q) with s = x*y and
     c = a*x^d1 - b - y^d2.  Multiplied by 4 it is (2z - s)^2 = s^2 + 4c
@@ -266,11 +283,13 @@ def tuples_checked(modulus: int | None) -> int | None:
 # The sweep is priced at its worst case, all q rows of q cells for every
 # prime power q it reads: modulus bound 360 costs 1.6e4 cells, 11,520 costs
 # 5.6e7.  A plan priced above this is refused.  `_has_witness` reads a row
-# with no witness at 230-310 ns a cell on a 2-core x86 VM (q = 1,024 with
-# every row empty: 0.30 s), so a plan at the budget could take about 18 s.
-# Only a closing class reads every row, though, and a class that stays open
-# stops at its first witness, usually within a few y: (13, 3, 10) sweeps
-# bound 360 in 0.18 ms, 1,200 in 0.4 ms, 4,000 in 1.5 ms and 11,520 in 6 ms.
+# with no witness at 390-480 ns a cell on a 2-core x86 VM (q = 1,024), so a
+# plan at the budget could take about 25 s.  Only a closing class reads
+# every row, though, and a class that stays open stops at its first
+# witness, usually within a few y.  Once its square tables are built
+# (`_square_bytes`), (13, 3, 10) sweeps bound 360 in 0.09 ms, 1,200 in
+# 0.17 ms, 4,000 in 0.38 ms and 11,520 in 0.8 ms; a process's first sweep
+# to 4,000 builds them too and takes 2.0-2.4 ms, to 11,520 5.7-6.7 ms.
 _SWEEP_CELL_BUDGET = 6 * 10**7
 
 
@@ -280,8 +299,15 @@ def sweep_plan(modulus_bound: int) -> list[tuple[int, int]]:
 
     Priced at the sum of q^2 and refused above `_SWEEP_CELL_BUDGET` before
     any row is read.  Past 12 * sqrt(budget) the power of 2 in the plan
-    alone passes the budget, so no prime beyond that is sieved.
+    alone passes the budget, so no prime beyond that is sieved.  An
+    admitted plan is built once per bound and process (`_plan`); each call
+    returns a fresh list, and a refusal is raised again on every call.
     """
+    return list(_plan(operator.index(modulus_bound)))
+
+
+@lru_cache(maxsize=16)
+def _plan(modulus_bound: int) -> tuple[tuple[int, int], ...]:
     plan = []
     for p in primes_upto(max(3, min(modulus_bound // 12, isqrt(_SWEEP_CELL_BUDGET)))):
         q = 4 if p == 2 else p
@@ -294,7 +320,7 @@ def sweep_plan(modulus_bound: int) -> list[tuple[int, int]]:
             f"obstruction sweep to modulus {modulus_bound} needs at least {cells} "
             f"table cells; the budget is {_SWEEP_CELL_BUDGET}"
         )
-    return sorted(plan)
+    return tuple(sorted(plan))
 
 
 def obstruction_sweep(params: DioParams, modulus_bound: int) -> SweepResult:
@@ -320,7 +346,7 @@ def obstruction_sweep(params: DioParams, modulus_bound: int) -> SweepResult:
         if not pending:
             break
         step = gcd(12, q)
-        is_square = _square_table(4 * q).tolist()
+        is_square = _square_bytes(4 * q)
         solvable = {
             s: any(_has_witness(params, q, x, is_square) for x in range(s, q, step))
             for s in {r % step for r in pending}
@@ -366,8 +392,16 @@ def qr_law_check(prime_bound: int) -> bool:
 
     Euler's criterion, 3^((p-1)/2) mod p (`_euler_ladder`), for all sieved
     primes at once (they are prime, so no primality test is due).  The
-    bound is checked (`check_qr_bound`) before anything is allocated.
+    bound is checked (`check_qr_bound`) on every call, before anything is
+    allocated.  The sieve and the ladder depend on the bound alone, so they
+    run once per bound and process: the verdict, one bool, is kept for the
+    last 8 bounds (`_qr_law_holds`).  A refusal is never kept.
     """
     check_qr_bound(prime_bound)
+    return _qr_law_holds(operator.index(prime_bound))
+
+
+@lru_cache(maxsize=8)
+def _qr_law_holds(prime_bound: int) -> bool:
     p = prime_array(prime_bound)[2:]
     return bool(np.array_equal(_euler_ladder(p) == 1, (p % 12 == 1) | (p % 12 == 11)))

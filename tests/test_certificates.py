@@ -705,6 +705,42 @@ def test_dio_tamper_detected():
         assert verify_certificate(doc) == [message], message
 
 
+def test_dio_verify_not_fooled_by_a_warm_qr_cache(monkeypatch):
+    from selli_cert import diophantine
+
+    params = validate_dio_params(13, 3, 2)
+    diophantine._qr_law_holds.cache_clear()
+    assert diophantine.qr_law_check(10**4)
+    base = build_dio_certificate(params, modulus_bound=48).to_dict()
+    assert base["replication"]["qr_law"]["prime_bound"] == 10**4
+    for key in ("holds", "matches"):
+        doc = copy.deepcopy(base)
+        doc["replication"]["qr_law"][key] = False
+        assert verify_certificate(doc) == [
+            f"replication.qr_law.{key}: stored false, recomputed true"
+        ]
+    honest = build_dio_certificate(params, modulus_bound=48, qr_bound=200).to_dict()
+    assert honest["replication"]["qr_law"]["prime_bound"] == 200
+    assert verify_certificate(honest) == []
+
+    # the verdict is kept per bound: one computed false at 10^4 (the ladder
+    # patched to fail) reaches only documents at 10^4
+    diophantine._qr_law_holds.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(diophantine, "_euler_ladder", lambda p: p * 0)
+        assert diophantine.qr_law_check(10**4) is False
+    try:
+        assert verify_certificate(honest) == []
+        assert verify_certificate(base) == [
+            'discrepancies: stored ["mod4-difference-table"], '
+            'recomputed ["mod4-difference-table", "qr-law"]',
+            "replication.qr_law.holds: stored true, recomputed false",
+        ]
+    finally:
+        diophantine._qr_law_holds.cache_clear()
+    assert verify_certificate(base) == []
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from math import gcd, isqrt
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from selli_cert import diophantine
 from selli_cert.arith import prime_array
-from selli_cert.certificates import replication_evidence
+from selli_cert.certificates import build_dio_certificate, replication_evidence
 from selli_cert.diophantine import (
     DioParams,
     bounded_search,
@@ -20,6 +21,7 @@ from selli_cert.diophantine import (
     validate_dio_params,
 )
 from selli_cert.errors import BudgetExceededError, HypothesisError, ParameterError
+from selli_cert.verify import verify_certificate
 
 PARAM_TRIPLES = [(13, 3, 2), (25, 3, 4), (37, 3, 2)]
 
@@ -195,6 +197,52 @@ def test_qr_law_refuses_bounds_past_int64():
             qr_law_check(bound)
 
 
+def test_qr_sieve_runs_once_per_bound_per_process(monkeypatch):
+    diophantine._qr_law_holds.cache_clear()
+    ladders = []
+    euler_ladder = diophantine._euler_ladder
+
+    def counted(p):
+        ladders.append(len(p))
+        return euler_ladder(p)
+
+    monkeypatch.setattr(diophantine, "_euler_ladder", counted)
+    for a, d1, d2 in ((13, 3, 2), (25, 3, 4)):
+        cert = build_dio_certificate(
+            validate_dio_params(a, d1, d2), box=5, modulus_bound=48, qr_bound=10**4
+        )
+        assert cert.replication["qr_law"]["holds"] is True
+        assert verify_certificate(cert.to_dict()) == []
+    assert len(ladders) == 1
+
+
+def test_qr_refusals_are_never_kept(monkeypatch):
+    diophantine._qr_law_holds.cache_clear()
+    sieved = []
+    monkeypatch.setattr(diophantine, "prime_array", lambda n: sieved.append(n))
+    for _ in range(3):
+        with pytest.raises(ParameterError):
+            qr_law_check(3)
+        with pytest.raises(BudgetExceededError):
+            qr_law_check(diophantine._QR_SIEVE_BOUND + 1)
+    assert sieved == []
+    assert diophantine._qr_law_holds.cache_info().currsize == 0
+
+
+def test_qr_and_plan_caches_hold_at_most_their_maxsize():
+    for cached, call, bounds in (
+        (diophantine._qr_law_holds, qr_law_check, range(5, 45)),
+        (diophantine._plan, diophantine.sweep_plan, range(0, 1200, 12)),
+    ):
+        cached.cache_clear()
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None
+        for bound in bounds:
+            call(bound)
+            assert cached.cache_info().currsize <= maxsize
+        assert cached.cache_info().currsize == maxsize
+
+
 def test_euler_ladder_matches_pow_for_every_prime_to_1e5():
     p = prime_array(10**5)
     ladder = diophantine._euler_ladder(p).tolist()
@@ -358,11 +406,58 @@ def test_sweep_plan_lists_each_prime_power_once():
     assert diophantine.sweep_plan(11) == []
 
 
+def test_sweep_plan_returns_a_fresh_list_and_refuses_every_time():
+    diophantine._plan.cache_clear()
+    plan = diophantine.sweep_plan(360)
+    expected = list(plan)
+    plan.append((12, 1))
+    plan[0] = (0, 0)
+    assert diophantine.sweep_plan(360) == expected
+    assert diophantine.sweep_plan(360) is not diophantine.sweep_plan(360)
+    for _ in range(3):
+        with pytest.raises(BudgetExceededError, match="obstruction sweep"):
+            diophantine.sweep_plan(11_724)
+    assert diophantine._plan.cache_info().currsize == 1
+
+
+def test_sweep_builds_each_square_table_once():
+    diophantine._square_bytes.cache_clear()
+    plan = diophantine.sweep_plan(720)
+    # classes 5 and 9 of both members stay open, so each reads every q
+    for params in (validate_dio_params(13, 3, 2), validate_dio_params(13, 3, 10)):
+        sweep = obstruction_sweep(params, 720)
+        assert sweep.smallest_modulus == tuple(None if r in (5, 9) else 12 for r in range(12))
+    info = diophantine._square_bytes.cache_info()
+    assert (info.misses, info.hits) == (len(plan), len(plan))
+
+
+def test_square_tables_are_read_only():
+    table = diophantine._square_table(64)
+    with pytest.raises(ValueError):
+        table[0] = False
+    assert table.tolist() == [r in {x * x % 64 for x in range(64)} for r in range(64)]
+    assert isinstance(diophantine._square_bytes(64), bytes)
+
+
+def test_square_table_cache_stays_within_its_stated_bytes():
+    # the plan at 11,723 holds every q an admitted plan can read
+    diophantine._square_bytes.cache_clear()
+    bounded_search(validate_dio_params(13, 3, 10), 3)
+    for bound in (360, 1200, 11_723):
+        obstruction_sweep(validate_dio_params(13, 3, 10), bound)
+    keys = {64, *diophantine._SIEVE_MODULI} | {4 * q for _, q in diophantine.sweep_plan(11_723)}
+    assert diophantine._square_bytes.cache_info().currsize == len(keys)
+    held = sum(len(diophantine._square_bytes(m)) for m in keys)
+    assert diophantine._square_bytes.cache_info().currsize == len(keys)  # every key was held
+    [stated] = re.findall(r"never holds more than ([\d,]+) bytes", diophantine._square_bytes.__doc__)
+    assert held <= int(stated.replace(",", ""))
+
+
 def test_sweep_refuses_past_its_budget_before_any_table(monkeypatch):
     # every q the sweep reads starts with its square table, then reads rows
     # with `_has_witness`; neither may run
     tables = []
-    for name in ("_square_table", "_has_witness"):
+    for name in ("_square_table", "_square_bytes", "_has_witness"):
         monkeypatch.setattr(diophantine, name, lambda *args, name=name: tables.append(name))
     params = validate_dio_params(13, 3, 10)
     for bound in (1_200_000, 10**30):

@@ -87,3 +87,40 @@ def test_no_dead_noqa_imports():
                 if name not in used and not (noqa and (module, name) in patched):
                     dead.append(f"{module}.{name}")
     assert dead == []
+
+
+# Unbounded process-level caches under src/, each with the reason its key
+# space cannot grow with the inputs a process sees.
+UNBOUNDED_CACHES = {
+    "selli_cert.cli._parser": "takes no arguments",
+    "selli_cert.certificates._c_encoder": "keyed by an indent, only on documents the builder makes",
+    "selli_cert.diophantine._square_bytes": (
+        "keyed by 64, _SIEVE_MODULI and the 4q of plans _SWEEP_CELL_BUDGET admits"
+    ),
+}
+
+
+def _is_unbounded_cache(decorator) -> bool:
+    """functools.cache, or lru_cache with maxsize None, however imported."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    target = call.func if call else decorator
+    name = getattr(target, "attr", getattr(target, "id", None))
+    if name == "cache":
+        return True
+    if name != "lru_cache" or call is None:
+        return False
+    maxsize = [kw.value for kw in call.keywords if kw.arg == "maxsize"] or call.args[:1]
+    return bool(maxsize) and isinstance(maxsize[0], ast.Constant) and maxsize[0].value is None
+
+
+def test_every_process_cache_is_bounded():
+    # budgets cover memory as well as time: a cache that can grow for the
+    # life of the process needs a reason on the list above
+    unbounded = {
+        f"{module}.{node.name}"
+        for module in MODULES
+        for node in ast.walk(ast.parse(Path(importlib.import_module(module).__file__).read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_is_unbounded_cache(d) for d in node.decorator_list)
+    }
+    assert unbounded == set(UNBOUNDED_CACHES)
