@@ -34,7 +34,11 @@ the lexicographically smallest monic irreducible of degree k, where tuples
 (c_{k-1}, ..., c_0) are compared most-significant coefficient first.  An
 element with coefficients (e_0, ..., e_{k-1}) (ascending) is indexed by
 sum e_i * p^i, so index order equals lex order and every enumeration loop
-is reproducible.
+is reproducible.  Multiplication by a fixed u is F_p-linear, so u acts as
+its k x k matrix over F_p (`_times_matrix`; Lidl-Niederreiter, ch. 2): a
+product is a row of digits times that matrix mod p, a power is
+square-and-multiply on such matrices, and the log tables double their block
+of powers of gamma by one matrix product, then square that matrix.
 """
 
 from __future__ import annotations
@@ -86,35 +90,39 @@ class PrimeField:
             raise ParameterError(f"p = {self.p} is not prime")
 
 
-# ---- polynomial helpers over F_p (ascending coefficient tuples) ----
+# ---- arithmetic in F_p[x]/(f) (ascending coefficient tuples) ----
 
-def _pol_mul_mod(u, v, mod, p):
+def _times_matrix(u, mod, p) -> np.ndarray:
+    """The k x k matrix over F_p of v -> v*u in F_p[x]/(mod).
+
+    Row i holds the digits of x^i * u: the row before shifted up one degree,
+    with its x^k term reduced against the monic modulus.  So `digits @ M % p`
+    is a product, and the matrix of u*w is M_u @ M_w % p.  A product's
+    entries are sums of k terms, each at most (p-1)^2: int64 while those
+    sums stay below 2^63, Python ints (dtype object) past that.
+    """
     k = len(mod) - 1
-    res = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                res[i + j] = (res[i + j] + a * b) % p
-    for d in range(len(res) - 1, k - 1, -1):
-        c = res[d]
-        if c:
-            res[d] = 0
-            for i in range(k):
-                res[d - k + i] = (res[d - k + i] - c * mod[i]) % p
-    res = res[:k] + [0] * max(0, k - len(res))
-    return tuple(res[:k])
+    dtype = np.int64 if k * (p - 1) ** 2 < 2**63 else object
+    low = np.array(mod[:k], dtype=dtype)
+    rows = np.zeros((k, k), dtype=dtype)
+    rows[0] = u
+    for i in range(1, k):
+        rows[i, 1:] = rows[i - 1, :-1]
+        rows[i] = (rows[i] - rows[i - 1, -1] * low) % p
+    return rows
 
 
 def _pol_pow_mod(u, e, mod, p):
-    k = len(mod) - 1
-    result = tuple([1] + [0] * (k - 1))
-    base = tuple(u)
+    """Digits of u^e: square-and-multiply on `_times_matrix` matrices."""
+    base = _times_matrix(u, mod, p)
+    result = np.zeros_like(base[:1])
+    result[0, 0] = 1
     while e:
         if e & 1:
-            result = _pol_mul_mod(result, base, mod, p)
-        base = _pol_mul_mod(base, base, mod, p)
+            result = result @ base % p
+        base = base @ base % p
         e >>= 1
-    return result
+    return tuple(result[0].tolist())
 
 
 def _pol_gcd_degree(f, g, p):
@@ -146,10 +154,10 @@ def _is_irreducible(mod, p):
     k = len(mod) - 1
     if k == 1:
         return True
-    x = tuple([0, 1] + [0] * (k - 2))
-    for i in range(1, k // 2 + 1):
-        xp = _pol_pow_mod(x, p**i, mod, p)
-        h = [(c - (1 if idx == 1 else 0)) % p for idx, c in enumerate(xp)]
+    x = xp = (0, 1) + (0,) * (k - 2)
+    for _ in range(k // 2):
+        xp = _pol_pow_mod(xp, p, mod, p)  # x^(p^i) = (x^(p^(i-1)))^p
+        h = [(c - x[idx]) % p for idx, c in enumerate(xp)]
         if _pol_gcd_degree(mod, h, p) != 0:
             return False
     return True
@@ -299,40 +307,26 @@ class SmoothnessResult:
 
 # ---- field tables: discrete logs and Zech logarithms ----
 
-def _mul_rows(a: np.ndarray, b: np.ndarray, field: ExtField) -> np.ndarray:
-    """Row-wise field product of two (n, k) digit matrices."""
-    p, k, mod = field.base.p, field.k, field.modulus
-    if k == 1:
-        return (a * b) % p
-    conv = np.zeros((a.shape[0], 2 * k - 1), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            conv[:, i + j] = (conv[:, i + j] + a[:, i] * b[:, j]) % p
-    for d in range(2 * k - 2, k - 1, -1):  # reduce against the monic modulus
-        for i in range(k):
-            if mod[i]:
-                conv[:, d - k + i] = (conv[:, d - k + i] - conv[:, d] * mod[i]) % p
-    return conv[:, :k]
-
-
 def _pack(digits: np.ndarray, p: int) -> np.ndarray:
     powers = p ** np.arange(digits.shape[1], dtype=np.int64)
     return digits @ powers
 
 
-def _primitive_root(field: ExtField) -> np.ndarray:
-    """Digits (1, k) of the first element, in index order, generating F_q*.
+def _primitive_root(field: ExtField) -> tuple[int, ...]:
+    """Digits of the first element, in index order, generating F_q*.
 
     An element generates exactly when g^((q-1)/r) != 1 for every prime r
-    dividing q - 1; roughly phi(q-1)/(q-1) of all elements pass.
+    dividing q - 1; roughly phi(q-1)/(q-1) of all elements pass.  For k > 1
+    the search starts at index p: the indices below are F_p, whose orders
+    divide p - 1 < q - 1.
     """
     p, k, q = field.base.p, field.k, field.q
     exponents = [(q - 1) // r for r in factorize(q - 1)]
     one = (1,) + (0,) * (k - 1)
-    for idx in range(1, q):
+    for idx in range(p if k > 1 else 1, q):
         digits = tuple((idx // p**i) % p for i in range(k))
         if all(_pol_pow_mod(digits, e, field.modulus, p) != one for e in exponents):
-            return np.array([digits], dtype=np.int64)
+            return digits
     raise AssertionError("F_q* is cyclic")
 
 
@@ -391,23 +385,24 @@ def _log_tables(field: ExtField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _build_log_tables(field: ExtField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The digits of gamma^i are built for one block of n >= _X_BLOCK
-    exponents (or all q-1) by doubling: rows [n, 2n) are rows [0, n) times
-    gamma^n.  Each later block is the previous one times gamma^n, and only
-    the packed indices are kept."""
-    p, k, q = field.base.p, field.k, field.q
+    exponents (or all q-1) by doubling, where `step` is the k x k matrix
+    over F_p of multiplication by gamma^n (`_times_matrix`): rows [n, 2n)
+    are rows [0, n) @ step, and then step squares to gamma^(2n)'s matrix.
+    Each later block is the previous one @ step, and only the packed
+    indices are kept."""
+    p, q = field.base.p, field.q
     order = q - 1
-    rows = np.zeros((1, k), dtype=np.int64)
+    step = _times_matrix(_primitive_root(field), field.modulus, p)
+    rows = np.zeros_like(step[:1])
     rows[0, 0] = 1
-    step = _primitive_root(field)
     while rows.shape[0] < min(order, _X_BLOCK):
-        shifted = _mul_rows(rows, np.broadcast_to(step, rows.shape), field)
-        rows = np.concatenate([rows, shifted])
-        step = _mul_rows(step, step, field)
-    n = rows.shape[0]  # rows hold gamma^0 .. gamma^(n-1), and step is gamma^n
+        rows = np.concatenate([rows, rows @ step % p])
+        step = step @ step % p
+    n = rows.shape[0]  # rows hold gamma^0 .. gamma^(n-1), and step is gamma^n's
     exp_packed = np.empty(order, dtype=np.int64)
     for lo in range(0, order, n):
         if lo:
-            rows = _mul_rows(rows, np.broadcast_to(step, rows.shape), field)
+            rows = rows @ step % p
         exp_packed[lo : lo + n] = _pack(rows[: order - lo], p)
     log = np.empty(q, dtype=np.int64)
     log[exp_packed] = np.arange(order, dtype=np.int64)

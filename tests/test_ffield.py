@@ -1,4 +1,5 @@
 import itertools
+import random
 import threading
 from unittest import mock
 
@@ -238,7 +239,9 @@ def unpack(index, p, k):
     return tuple((index // p**i) % p for i in range(k))
 
 
-@pytest.mark.parametrize("pk", [(2, 1), (2, 3), (3, 1), (5, 2), (7, 3), (13, 2)])
+@pytest.mark.parametrize(
+    "pk", [(2, 1), (2, 3), (3, 1), (5, 2), (7, 3), (13, 2), (2, 10), (3, 7), (5, 5)]
+)
 def test_log_tables_cover_the_group(pk):
     p, k = pk
     field = find_irreducible(p, k)
@@ -255,7 +258,9 @@ def test_log_tables_cover_the_group(pk):
     assert log[0] == q - 1  # the log of 0
 
 
-@pytest.mark.parametrize("pk", [(2, 1), (2, 4), (3, 1), (3, 3), (5, 2), (7, 1), (13, 2)])
+@pytest.mark.parametrize(
+    "pk", [(2, 1), (2, 4), (3, 1), (3, 3), (5, 2), (7, 1), (13, 2), (2, 10), (3, 7), (5, 5)]
+)
 def test_zech_logarithms(pk):
     # zech[n] = log(1 + gamma^n), with the sentinel q - 1 exactly at log(-1)
     p, k = pk
@@ -272,6 +277,33 @@ def test_zech_logarithms(pk):
             assert index == 0 and zech[n] == q - 1
         else:
             assert index != 0 and zech[n] == log[index] < q - 1, n
+
+
+# index of gamma, the first generator of F_q* in index order, per (p, k)
+GENERATOR_INDEX = {
+    (5, 1): 2, (23, 1): 5, (11, 3): 11, (23, 2): 25, (37, 3): 75, (101, 2): 102,
+    (1009, 2): 1018, (13, 4): 17, (5, 7): 9, (7, 6): 8, (3, 10): 34, (2, 16): 3,
+}
+
+
+@pytest.mark.parametrize("pk", sorted(GENERATOR_INDEX), ids=lambda pk: f"{pk[0]}^{pk[1]}")
+def test_generator_is_pinned(pk):
+    # every exp/log/Zech table is read off gamma's powers
+    exp_packed, _, _ = ffield._log_tables(find_irreducible(*pk))
+    assert int(exp_packed[1]) == GENERATOR_INDEX[pk]
+
+
+@pytest.mark.parametrize("k, modulus", [(2, (1, 0, 1)), (3, (5, 0, 0, 1))])
+def test_exact_arithmetic_at_the_prime_cap(k, modulus):
+    # a sum of three products of digits near 2^31 overflows int64; two fit
+    p = 2**31 - 1
+    field = find_irreducible(p, k)
+    assert field.modulus == modulus
+    rng = random.Random(k)
+    for _ in range(20):
+        u = tuple(rng.randrange(p) for _ in range(k))
+        e = rng.randrange(64)
+        assert ffield._pol_pow_mod(u, e, modulus, p) == naive_pow(u, e, modulus, p), (u, e)
 
 
 def test_field_data_is_built_once():

@@ -89,6 +89,54 @@ def test_no_dead_noqa_imports():
     assert dead == []
 
 
+def _private_definitions(tree):
+    """(name, node) of each module-level private function, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def _referenced_names(tree, skip=None) -> set[str]:
+    """Names read, imported or used as attributes in `tree`, outside `skip`."""
+    skipped = set(map(id, ast.walk(skip))) if skip is not None else set()
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_private_helper_has_a_library_caller():
+    # a private helper that only tests use is deleted, not kept for them
+    package = Path(selli_cert.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    others = {
+        name: set().union(*(_referenced_names(t) for n, t in trees.items() if n != name))
+        for name in trees
+    }
+    unused = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree)
+        if name not in others[module] | _referenced_names(tree, skip=node)
+    ]
+    assert unused == []
+
+
 # Unbounded process-level caches under src/, each with the reason its key
 # space cannot grow with the inputs a process sees.
 UNBOUNDED_CACHES = {
